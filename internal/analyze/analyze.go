@@ -1,23 +1,23 @@
 // Package analyze assembles the fdlint analyzer suite: the static
 // checks that enforce this repo's determinism and zero-alloc contracts
 // at the source level, complementing the runtime gates (byte-identical
-// determinism tests, AllocsPerRun tests, the CI perf gate).
+// determinism tests, AllocsPerRun tests, the CI perf gate). Each
+// contract has one analyzer.
 //
-//   - purestream: engine packages draw randomness only from seeded
-//     simrand sources — no math/rand, wall clocks, or environment.
-//   - orderedrange: map iteration order never reaches an output sink
-//     unsorted.
 //   - noalloc: functions annotated //fdlint:noalloc avoid allocating
 //     constructs.
-//   - sharded: netsim parallel sections touch only parameter-rooted
-//     RNG state; goroutines only in the worker pool; serial-only
-//     streams stay serial.
-//   - streamtree: every *simrand.Source is provably seeded from the
-//     run seed via the blessed split/hash constructors; no literal,
-//     wall-clock, or ambient seeds; no loop element stream aliasing.
-//   - shardwrite: //fdlint:parallel shard bodies write struct-of-arrays
-//     columns only at indices derived from the shard's own range
-//     parameters.
+//   - orderedrange: map iteration order never reaches an output sink
+//     unsorted.
+//   - shardwrite: //fdlint:parallel shard bodies draw only their own
+//     RNG streams and write struct-of-arrays columns only at indices
+//     derived from the shard's own range parameters; in netsim,
+//     goroutines exist only in the worker pool, workers are
+//     channel-free, and serial-only streams stay serial.
+//   - streamtree: engine packages draw randomness only from seeded
+//     simrand sources — no math/rand, wall clocks, or environment —
+//     and every *simrand.Source is provably seeded from the run seed
+//     via the blessed split/hash constructors, with no loop element
+//     stream aliasing.
 //   - validatecover: every JSON-tagged scenario field is read by
 //     Validate or carries //fdlint:novalidate REASON.
 package analyze
@@ -26,8 +26,6 @@ import (
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/noalloc"
 	"repro/internal/analyze/orderedrange"
-	"repro/internal/analyze/purestream"
-	"repro/internal/analyze/sharded"
 	"repro/internal/analyze/shardwrite"
 	"repro/internal/analyze/streamtree"
 	"repro/internal/analyze/validatecover"
@@ -38,8 +36,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		noalloc.Analyzer,
 		orderedrange.Analyzer,
-		purestream.Analyzer,
-		sharded.Analyzer,
 		shardwrite.Analyzer,
 		streamtree.Analyzer,
 		validatecover.Analyzer,

@@ -12,9 +12,9 @@
 //	alloc-ok REASON  suppress one noalloc finding on this line
 //	ordered REASON   suppress one orderedrange finding on this line
 //	parallel         this function executes on engine pool workers
-//	                 (contract marker, enforced by the sharded analyzer)
+//	                 (contract marker, enforced by the shardwrite analyzer)
 //	workerpool       this function owns goroutine creation for a
-//	                 persistent worker pool (sharded allows `go` here)
+//	                 persistent worker pool (shardwrite allows `go` here)
 //	serial           the value declared here is a serial-only stream:
 //	                 it must never reach a parallel section
 //	stream-ok REASON suppress one streamtree finding on this line

@@ -1,7 +1,8 @@
 // Package dataflow is the intra-procedural dataflow layer of the
 // fdlint suite: def-use chains over one type-checked function body,
-// plus a memoized evaluator that folds a client-defined provenance
-// lattice over those chains.
+// a memoized evaluator that folds a client-defined provenance lattice
+// over those chains, and the type predicates its clients share
+// (IsSource, IsIntegral, Callee).
 //
 // The model is deliberately flow-insensitive within a function: an
 // identifier's abstract value is the JOIN over every expression ever
@@ -258,19 +259,26 @@ func (c *Chains) DeclaredInLoop(obj types.Object) ast.Stmt { return c.declLoop[o
 type Transfer func(e ast.Expr, eval func(ast.Expr) Value) Value
 
 // Evaluator folds a Transfer over the chains with per-object
-// memoization and cycle cut-off (a self-referential definition
-// contributes Bottom).
+// memoization and cycle cut-off: re-entering an object whose
+// evaluation is in progress contributes Bottom. A value computed
+// under such a cut is provisional — it may miss what the cycle's
+// entry point still has to join in — so only values whose every cut
+// stops at the object itself are memoized, which makes each result
+// independent of evaluation order.
 type Evaluator struct {
 	C  *Chains
 	TF Transfer
 
 	memo map[types.Object]Value
-	busy map[types.Object]bool
+	// busy maps each object under evaluation to its stack depth; low
+	// is the shallowest busy depth the current evaluation has cut at.
+	busy map[types.Object]int
+	low  int
 }
 
 // NewEvaluator returns an evaluator over c with the given transfer.
 func NewEvaluator(c *Chains, tf Transfer) *Evaluator {
-	return &Evaluator{C: c, TF: tf, memo: map[types.Object]Value{}, busy: map[types.Object]bool{}}
+	return &Evaluator{C: c, TF: tf, memo: map[types.Object]Value{}, busy: map[types.Object]int{}}
 }
 
 // Eval returns the lattice value of e: the client's classification of
@@ -289,10 +297,14 @@ func (ev *Evaluator) Eval(e ast.Expr) Value {
 	if v, done := ev.memo[obj]; done {
 		return v
 	}
-	if ev.busy[obj] {
+	if d, busy := ev.busy[obj]; busy {
+		ev.low = min(ev.low, d)
 		return Bottom
 	}
-	ev.busy[obj] = true
+	depth := len(ev.busy)
+	ev.busy[obj] = depth
+	outer := ev.low
+	ev.low = depth
 	v := ev.TF(e, ev.Eval)
 	for _, d := range ev.C.Defs(obj) {
 		if d.X == nil {
@@ -303,8 +315,11 @@ func (ev *Evaluator) Eval(e ast.Expr) Value {
 		// indices/elements, ranging an unknown container yields unknown.
 		v = Join(v, ev.Eval(d.X))
 	}
-	ev.busy[obj] = false
-	ev.memo[obj] = v
+	delete(ev.busy, obj)
+	if ev.low == depth {
+		ev.memo[obj] = v
+	}
+	ev.low = min(outer, ev.low)
 	return v
 }
 
@@ -341,4 +356,41 @@ func RootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// Callee resolves the function or method object a call invokes (nil
+// for calls through function values and conversions of unnamed types).
+func Callee(info *types.Info, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return info.Uses[fun]
+	case *ast.SelectorExpr:
+		return info.Uses[fun.Sel]
+	}
+	return nil
+}
+
+// IsIntegral reports whether t is an integer type after unwrapping
+// named types.
+func IsIntegral(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsInteger != 0
+}
+
+// IsSource reports whether t is *simrand.Source (matched by package
+// and type name, so corpus simrand shims qualify).
+func IsSource(t types.Type) bool {
+	ptr, ok := t.(*types.Pointer)
+	if !ok {
+		return false
+	}
+	named, ok := ptr.Elem().(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Source" && obj.Pkg() != nil && obj.Pkg().Name() == "simrand"
 }

@@ -18,21 +18,16 @@ package load
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -74,31 +69,18 @@ type Loader struct {
 	// the analysistest harness uses to graft corpus packages (and their
 	// corpus-local imports) onto the real module and standard library.
 	Overlay func(path string) (dir string, ok bool)
-	// CacheDir, when non-empty, caches `go list -deps -json` output on
-	// disk, keyed by a content hash over the module's non-test sources,
-	// go.mod/go.sum, the Go version and the patterns — so a warm run
-	// (CI restores the directory keyed on go.sum + Go version) skips
-	// the dependency enumeration entirely. Entry directories are stored
-	// relative to $MODULE/$GOROOT placeholders, so a cache survives the
-	// checkout moving. New seeds it from $FDLINT_LOAD_CACHE.
-	CacheDir string
 
 	fset *token.FileSet
 	pkgs map[string]*types.Package
 	errs map[string]error
-
-	goroot  string // memoized `go env` results for cache keying
-	modroot string
-	gover   string
 }
 
 // New returns an empty Loader.
 func New() *Loader {
 	return &Loader{
-		CacheDir: os.Getenv("FDLINT_LOAD_CACHE"),
-		fset:     token.NewFileSet(),
-		pkgs:     map[string]*types.Package{},
-		errs:     map[string]error{},
+		fset: token.NewFileSet(),
+		pkgs: map[string]*types.Package{},
+		errs: map[string]error{},
 	}
 }
 
@@ -136,21 +118,8 @@ func (l *Loader) Roots(patterns ...string) ([]*Package, error) {
 }
 
 // goList runs `go list -deps -json` for the patterns and decodes the
-// entry stream, which arrives in dependency order. With CacheDir set,
-// the raw output is cached on disk and replayed when nothing the
-// enumeration depends on has changed.
+// entry stream, which arrives in dependency order.
 func (l *Loader) goList(patterns []string) ([]listEntry, error) {
-	key := ""
-	if l.CacheDir != "" {
-		// A key failure (no module, unreadable tree) just disables the
-		// cache for this call; `go list` itself reports the real error.
-		if k, err := l.cacheKey(patterns); err == nil {
-			key = k
-			if entries, ok := l.readListCache(key); ok {
-				return entries, nil
-			}
-		}
-	}
 	args := append([]string{
 		"list", "-deps",
 		"-json=ImportPath,Name,Dir,GoFiles,Imports,Standard,DepOnly",
@@ -163,20 +132,8 @@ func (l *Loader) goList(patterns []string) ([]listEntry, error) {
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
 	}
-	entries, err := decodeList(out.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	if key != "" {
-		l.writeListCache(key, out.Bytes())
-	}
-	return entries, nil
-}
-
-// decodeList decodes a `go list -json` entry stream.
-func decodeList(raw []byte) ([]listEntry, error) {
 	var entries []listEntry
-	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec := json.NewDecoder(&out)
 	for dec.More() {
 		var e listEntry
 		if err := dec.Decode(&e); err != nil {
@@ -185,135 +142,6 @@ func decodeList(raw []byte) ([]listEntry, error) {
 		entries = append(entries, e)
 	}
 	return entries, nil
-}
-
-// envInfo memoizes the `go env` facts cache keying needs: GOROOT, the
-// module root (the directory of GOMOD) and the Go version.
-func (l *Loader) envInfo() (goroot, modroot, gover string, err error) {
-	if l.modroot == "" {
-		cmd := exec.Command("go", "env", "GOROOT", "GOMOD", "GOVERSION")
-		cmd.Dir = l.Dir
-		out, err := cmd.Output()
-		if err != nil {
-			return "", "", "", fmt.Errorf("go env: %v", err)
-		}
-		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(lines) != 3 || lines[1] == "/dev/null" || lines[1] == "" {
-			return "", "", "", fmt.Errorf("go env: not in a module (GOMOD %q)", strings.Join(lines, " "))
-		}
-		l.goroot, l.modroot, l.gover = lines[0], filepath.Dir(lines[1]), lines[2]
-	}
-	return l.goroot, l.modroot, l.gover, nil
-}
-
-// cacheKey hashes everything the `go list -deps` output depends on:
-// the Go version, the patterns, go.mod/go.sum, and the relative path
-// and content of every non-test .go file in the module (testdata and
-// dot-directories excluded — corpus churn must not invalidate the
-// module enumeration, and _test.go files never appear in GoFiles).
-func (l *Loader) cacheKey(patterns []string) (string, error) {
-	_, modroot, gover, err := l.envInfo()
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	fmt.Fprintf(h, "go %s\npatterns %s\n", gover, strings.Join(patterns, " "))
-	var paths []string
-	err = filepath.WalkDir(modroot, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != modroot && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		switch {
-		case name == "go.mod" || name == "go.sum":
-		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
-		default:
-			return nil
-		}
-		rel, err := filepath.Rel(modroot, path)
-		if err != nil {
-			return err
-		}
-		paths = append(paths, rel)
-		return nil
-	})
-	if err != nil {
-		return "", err
-	}
-	sort.Strings(paths)
-	for _, rel := range paths {
-		f, err := os.Open(filepath.Join(modroot, rel))
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(h, "file %s\n", rel)
-		_, err = io.Copy(h, f)
-		f.Close()
-		if err != nil {
-			return "", err
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// Placeholders substituted for the machine-specific roots in cached
-// output, so a restored cache survives the checkout (or toolchain)
-// living at a different absolute path.
-const (
-	modPlaceholder    = "\x01MODULE\x01"
-	gorootPlaceholder = "\x01GOROOT\x01"
-)
-
-// readListCache replays a cached enumeration, rewriting the path
-// placeholders back to this machine's roots.
-func (l *Loader) readListCache(key string) ([]listEntry, bool) {
-	raw, err := os.ReadFile(filepath.Join(l.CacheDir, key+".json"))
-	if err != nil {
-		return nil, false
-	}
-	goroot, modroot, _, err := l.envInfo()
-	if err != nil {
-		return nil, false
-	}
-	raw = bytes.ReplaceAll(raw, []byte(modPlaceholder), []byte(modroot))
-	raw = bytes.ReplaceAll(raw, []byte(gorootPlaceholder), []byte(goroot))
-	entries, err := decodeList(raw)
-	if err != nil {
-		return nil, false
-	}
-	return entries, true
-}
-
-// writeListCache stores raw `go list` output under the key with the
-// machine-specific roots replaced by placeholders. Cache writes are
-// best-effort: a failure only costs the next run the enumeration.
-func (l *Loader) writeListCache(key string, raw []byte) {
-	goroot, modroot, _, err := l.envInfo()
-	if err != nil {
-		return
-	}
-	raw = bytes.ReplaceAll(raw, []byte(modroot), []byte(modPlaceholder))
-	raw = bytes.ReplaceAll(raw, []byte(goroot), []byte(gorootPlaceholder))
-	if err := os.MkdirAll(l.CacheDir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(l.CacheDir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(raw)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	os.Rename(tmp.Name(), filepath.Join(l.CacheDir, key+".json"))
 }
 
 // check parses and type-checks one listed package. Bodies are checked

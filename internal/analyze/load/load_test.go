@@ -1,8 +1,6 @@
 package load
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -42,84 +40,4 @@ func TestRootsTypeCheckRepo(t *testing.T) {
 		}
 	}
 	t.Logf("loaded %d roots in %v", len(roots), time.Since(start))
-}
-
-// With CacheDir set, the enumeration is written once and replayed on
-// the next run with the path placeholders rewritten — proved by
-// planting a sentinel entry in the cached file and seeing it come back
-// from a fresh Loader.
-func TestGoListCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go list")
-	}
-	cache := t.TempDir()
-	pattern := "repro/internal/analyze/annotate"
-
-	l := New()
-	l.CacheDir = cache
-	first, err := l.goList([]string{pattern})
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, err := os.ReadDir(cache)
-	if err != nil || len(files) != 1 {
-		t.Fatalf("want 1 cache file, got %d (%v)", len(files), err)
-	}
-	cached := filepath.Join(cache, files[0].Name())
-	raw, err := os.ReadFile(cached)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(cached, append(raw, []byte(`{"ImportPath":"zzz-cache-sentinel"}`)...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	l2 := New()
-	l2.CacheDir = cache
-	second, err := l2.goList([]string{pattern})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(second) != len(first)+1 || second[len(second)-1].ImportPath != "zzz-cache-sentinel" {
-		t.Fatalf("second run did not replay the cache: %d entries vs %d", len(second), len(first))
-	}
-	// Placeholder rewriting restored real directories: every genuine
-	// entry's Dir must exist on this machine.
-	for _, e := range second[:len(second)-1] {
-		if e.Dir == "" {
-			continue
-		}
-		if _, err := os.Stat(e.Dir); err != nil {
-			t.Errorf("%s: cached Dir not rewritten to a real path: %v", e.ImportPath, err)
-		}
-	}
-}
-
-// The key is a pure function of module content and patterns — stable
-// across calls (so a CI checkout with fresh mtimes still hits) and
-// distinct per pattern set.
-func TestGoListCacheKey(t *testing.T) {
-	if testing.Short() {
-		t.Skip("hashes the module")
-	}
-	l := New()
-	l.CacheDir = t.TempDir()
-	k1, err := l.cacheKey([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := l.cacheKey([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k1 != k2 {
-		t.Fatal("key not deterministic across calls")
-	}
-	kp, err := l.cacheKey([]string{"repro/internal/core"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp == k1 {
-		t.Fatal("key ignores the patterns")
-	}
 }

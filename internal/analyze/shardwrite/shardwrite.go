@@ -1,28 +1,56 @@
-// Package shardwrite closes the gap the sharded analyzer leaves
-// between "no channels in parallel sections" and "no data races":
-// inside a //fdlint:parallel function, writes that reach engine-shared
-// storage (the receiver's struct-of-arrays columns, or aliases of
-// them) must land at indices derived from the shard's own parameters —
-// the range [lo, hi), the cell index, the tag id the dispatcher
-// granted. Cross-index writes (a literal slot, a field-loaded cursor,
-// another shard's variable) and whole-column writes (slice replace,
-// copy/clear/append over a shared column) are flagged.
+// Package shardwrite statically enforces the engine's sharding
+// contract: byte-identical results at any worker count require that
+// parallel sections touch only per-worker or per-shard state, and that
+// the serial-only RNG streams never cross into them.
 //
-// Derivation is the index-provenance lattice over the dataflow
-// def-use chains: parameters are derived roots; arithmetic, slicing,
-// conversions, and calls propagate derivation from their operands;
-// indexing with a derived index narrows shared storage to a
-// shard-owned element (so `acc := &e.cellAcc[ci]` makes *acc and
-// acc.field writes shard-owned).
+// Three annotations carry the contract:
 //
-// The escape hatch is //fdlint:shard-ok REASON on the offending line,
+//	//fdlint:workerpool  on the one function allowed to create
+//	                     goroutines (the persistent pool constructor).
+//	                     Any `go` statement elsewhere in the package is
+//	                     a diagnostic: ad-hoc goroutines bypass the
+//	                     pool's deterministic shard dispatch.
+//	//fdlint:parallel    on functions that execute on pool workers.
+//	                     Inside them go statements, channel operations
+//	                     and select are forbidden (workers must be pure
+//	                     compute between dispatch barriers), every
+//	                     *simrand.Source must be the shard's own, and
+//	                     writes to engine-shared storage must be too.
+//	//fdlint:serial      trailing a declaration whose value is a
+//	                     serial-only stream (the placement/traffic/
+//	                     slot/mobility splits). Within the declaring
+//	                     function the value must not be stored into a
+//	                     struct field or composite literal, or passed to
+//	                     a //fdlint:parallel function — either would let
+//	                     worker scheduling perturb the draw sequence.
+//
+// Ownership is one rule for draws and writes, decided by the
+// index-provenance lattice over the dataflow def-use chains:
+// parameters are derived roots; arithmetic, slicing, conversions, and
+// calls propagate derivation from their operands; indexing with a
+// derived index narrows shared storage to a shard-owned element (so
+// `acc := &e.cellAcc[ci]` makes *acc and acc.field writes shard-owned,
+// and e.tagSrc[ci] a shard-owned stream). A source must be rooted at a
+// non-receiver parameter — the receiver is the shared engine, the
+// parameters are the dispatcher's grant — or be such an element; local
+// aliases are chased through their definitions. A write into the
+// receiver's struct-of-arrays columns (or aliases of them) must land at
+// a derived index: cross-index writes (a literal slot, a field-loaded
+// cursor, another shard's variable) and whole-column writes (slice
+// replace, copy/clear/append over a shared column) are flagged.
+//
+// The write rules apply to //fdlint:parallel functions in any package;
+// the goroutine, channel, stream and serial rules to internal/netsim.
+// The escape hatch is //fdlint:shard-ok REASON on the offending write,
 // for writes whose ownership argument lives outside the function (a
 // column partitioned by a scheme the lattice cannot see).
 package shardwrite
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
+	"strings"
 
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
@@ -32,10 +60,18 @@ import (
 // Analyzer is the shardwrite analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "shardwrite",
-	Doc: "//fdlint:parallel shard bodies write engine-shared struct-of-arrays " +
-		"columns only at indices derived from the shard's own parameters; " +
-		"cross-index and whole-column writes are flagged",
+	Doc: "//fdlint:parallel shard bodies draw only the shard's own RNG streams and " +
+		"write engine-shared columns only at indices derived from the shard's own " +
+		"parameters; in netsim, goroutines only in the worker pool, no channels on " +
+		"workers, serial-only streams stay serial",
 	Run: run,
+}
+
+// Governs reports whether the goroutine, channel, stream and serial
+// rules apply to the package path (the write rules apply everywhere).
+func Governs(path string) bool {
+	const sfx = "internal/netsim"
+	return path == sfx || strings.HasSuffix(path, "/"+sfx)
 }
 
 // The index-provenance lattice: an expression either is or is not
@@ -43,6 +79,19 @@ var Analyzer = &analysis.Analyzer{
 const derived dataflow.Value = 1
 
 func run(pass *analysis.Pass) (interface{}, error) {
+	netsim := Governs(pass.Pkg.Path())
+	parallelFuncs := map[types.Object]bool{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if _, par := annotate.FuncHas(pass.Fset, fd, "parallel"); par {
+				parallelFuncs[pass.TypesInfo.Defs[fd.Name]] = true
+			}
+		}
+	}
 	for _, f := range pass.Files {
 		af := annotate.NewFile(pass.Fset, f)
 		for _, d := range af.All() {
@@ -55,23 +104,109 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			if _, ok := annotate.FuncHas(pass.Fset, fd, "parallel"); !ok {
+			if netsim {
+				if _, isPool := annotate.FuncHas(pass.Fset, fd, "workerpool"); !isPool {
+					checkNoGo(pass, fd)
+				}
+				checkSerial(pass, af, fd, parallelFuncs)
+			}
+			if !parallelFuncs[pass.TypesInfo.Defs[fd.Name]] {
 				continue
 			}
 			ck := &checker{pass: pass, af: af, fd: fd}
 			ck.chains = dataflow.New(pass.TypesInfo, fd)
 			ck.eval = dataflow.NewEvaluator(ck.chains, ck.transfer)
-			if !ck.hasIntParam() {
-				// Per-worker prep with no range grant: there is no shard
-				// parameter to derive indices from, so the isolation
-				// argument lives with the caller (sharded still governs
-				// its stream use).
-				continue
+			if netsim {
+				ast.Inspect(fd.Body, ck.walkWorker)
 			}
-			ast.Inspect(fd.Body, ck.walk)
+			if ck.hasIntParam() {
+				// Per-worker prep with no range grant has no shard
+				// parameter to derive write indices from: the isolation
+				// argument for its writes lives with the caller.
+				ast.Inspect(fd.Body, ck.walk)
+			}
 		}
 	}
 	return nil, nil
+}
+
+// checkNoGo flags goroutine creation outside the worker pool.
+func checkNoGo(pass *analysis.Pass, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			pass.Reportf(g.Pos(), "go statement outside the //fdlint:workerpool function: ad-hoc goroutines bypass deterministic shard dispatch")
+		}
+		return true
+	})
+}
+
+// checkSerial finds //fdlint:serial declarations in fd and verifies the
+// declared values stay serial: never stored into a struct field or a
+// composite literal, never passed to a //fdlint:parallel function.
+func checkSerial(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl, parallelFuncs map[types.Object]bool) {
+	serial := map[types.Object]bool{}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		if _, ok := af.Has(as, "serial"); !ok {
+			return true
+		}
+		for _, lhs := range as.Lhs {
+			if id, ok := lhs.(*ast.Ident); ok {
+				if obj := pass.TypesInfo.Defs[id]; obj != nil {
+					serial[obj] = true
+				}
+			}
+		}
+		return true
+	})
+	if len(serial) == 0 {
+		return
+	}
+	mentionsSerial := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && serial[pass.TypesInfo.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.AssignStmt:
+			for i, lhs := range v.Lhs {
+				if _, ok := lhs.(*ast.SelectorExpr); ok && i < len(v.Rhs) && mentionsSerial(v.Rhs[i]) {
+					pass.Reportf(v.Pos(), "serial-only stream stored into a struct field: //fdlint:serial values must not outlive the serial section")
+				}
+			}
+		case *ast.CompositeLit:
+			for _, elt := range v.Elts {
+				val := elt
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					val = kv.Value
+				}
+				if id, ok := ast.Unparen(val).(*ast.Ident); ok && serial[pass.TypesInfo.Uses[id]] {
+					pass.Reportf(val.Pos(), "serial-only stream stored into a composite literal: //fdlint:serial values must not outlive the serial section")
+				}
+			}
+		case *ast.CallExpr:
+			callee := dataflow.Callee(pass.TypesInfo, v)
+			if callee == nil || !parallelFuncs[callee] {
+				return true
+			}
+			for _, arg := range v.Args {
+				if mentionsSerial(arg) {
+					pass.Reportf(arg.Pos(), "serial-only stream passed to //fdlint:parallel function %s: worker interleaving would perturb its draw sequence", callee.Name())
+				}
+			}
+		}
+		return true
+	})
 }
 
 type checker struct {
@@ -86,11 +221,42 @@ type checker struct {
 // integer-typed parameter — the shard's range grant.
 func (ck *checker) hasIntParam() bool {
 	for _, p := range ck.chains.Params() {
-		if isIntegral(p.Type()) {
+		if dataflow.IsIntegral(p.Type()) {
 			return true
 		}
 	}
 	return false
+}
+
+// walkWorker enforces the worker-purity rules: no channel traffic,
+// and every *simrand.Source the body touches is the shard's own.
+func (ck *checker) walkWorker(n ast.Node) bool {
+	name := ck.fd.Name.Name
+	switch v := n.(type) {
+	case *ast.SelectStmt:
+		ck.pass.Reportf(v.Pos(), "//fdlint:parallel function %s uses select: workers must be pure compute between dispatch barriers", name)
+		return false
+	case *ast.SendStmt:
+		ck.pass.Reportf(v.Pos(), "//fdlint:parallel function %s sends on a channel: workers must be pure compute between dispatch barriers", name)
+		return false
+	case *ast.UnaryExpr:
+		if v.Op == token.ARROW {
+			ck.pass.Reportf(v.Pos(), "//fdlint:parallel function %s receives from a channel: workers must be pure compute between dispatch barriers", name)
+		}
+	case *ast.Ident, *ast.SelectorExpr, *ast.IndexExpr:
+		e := n.(ast.Expr)
+		if !dataflow.IsSource(ck.pass.TypesInfo.Types[e].Type) {
+			return true
+		}
+		if !ck.owned(e, map[types.Object]bool{}) {
+			ck.pass.Reportf(e.Pos(), "//fdlint:parallel function %s uses a *simrand.Source not rooted at a parameter: engine-shared sources make results depend on worker interleaving", name)
+		}
+		// A source's selector path holds no further sources; an index
+		// expression may draw in its index.
+		_, isIndex := n.(*ast.IndexExpr)
+		return isIndex
+	}
+	return true
 }
 
 func (ck *checker) walk(n ast.Node) bool {
@@ -223,6 +389,50 @@ func (ck *checker) shared(e ast.Expr, visited map[types.Object]bool) bool {
 	return false
 }
 
+// owned reports whether the expression is provably the shard's own:
+// rooted at a non-receiver parameter (through selectors, derefs and
+// method calls such as w.src.Split()), or an element of any storage
+// selected by a derived index. Local aliases are chased through their
+// definitions, and every definition must be owned.
+func (ck *checker) owned(e ast.Expr, visited map[types.Object]bool) bool {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		obj := ck.chains.Obj(v)
+		if obj == nil || ck.isReceiver(obj) {
+			return false
+		}
+		if ck.chains.IsParam(obj) || visited[obj] {
+			return true
+		}
+		visited[obj] = true
+		n := 0
+		for _, d := range ck.chains.Defs(obj) {
+			if d.X == nil {
+				continue
+			}
+			if !ck.owned(d.X, visited) {
+				return false
+			}
+			n++
+		}
+		return n > 0
+	case *ast.SelectorExpr:
+		return ck.owned(v.X, visited)
+	case *ast.StarExpr:
+		return ck.owned(v.X, visited)
+	case *ast.UnaryExpr:
+		return v.Op == token.AND && ck.owned(v.X, visited)
+	case *ast.IndexExpr:
+		return ck.eval.Eval(v.Index) == derived || ck.owned(v.X, visited)
+	case *ast.CallExpr:
+		// A method call on an owned value stays owned; a package
+		// function (simrand.New) roots at a package name, never owned.
+		sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
+		return ok && ck.owned(sel.X, visited)
+	}
+	return false
+}
+
 // hasIndexStep reports whether the lvalue chain contains an index or
 // slice step.
 func (ck *checker) hasIndexStep(e ast.Expr) bool {
@@ -291,14 +501,4 @@ func (ck *checker) transfer(e ast.Expr, eval func(ast.Expr) dataflow.Value) data
 		return val
 	}
 	return dataflow.Bottom
-}
-
-// isIntegral reports whether t is an integer type after unwrapping
-// named types.
-func isIntegral(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
 }

@@ -1,7 +1,7 @@
-// Package netsim is the sharded corpus: a miniature of the engine's
-// pool/worker split exercising every rule — goroutines outside the
-// pool, engine-rooted sources in parallel sections, channel traffic on
-// workers, and serial-only streams escaping.
+// Package netsim is the stream-discipline corpus: a miniature of the
+// engine's pool/worker split exercising every rule — goroutines outside
+// the pool, engine-rooted sources in parallel sections, channel traffic
+// on workers, and serial-only streams escaping.
 package netsim
 
 import "repro/internal/simrand"
@@ -13,6 +13,7 @@ type worker struct {
 
 type engine struct {
 	src     *simrand.Source
+	tagSrc  []*simrand.Source
 	workers []*worker
 }
 
@@ -51,6 +52,28 @@ func (e *engine) badShard(lo, hi int) {
 	for i := lo; i < hi; i++ {
 		_ = e.src.Uint64() // want `uses a \*simrand.Source not rooted at a parameter`
 	}
+}
+
+// localSource mints its own stream inside the shard: a source built
+// by simrand.New, even from a seed parameter, is not the dispatcher's
+// grant, so draws from it are flagged.
+//
+//fdlint:parallel
+func (e *engine) localSource(seed uint64, lo, hi int) {
+	src := simrand.New(seed)
+	for i := lo; i < hi; i++ {
+		_ = src.Uint64() // want `uses a \*simrand.Source not rooted at a parameter`
+	}
+}
+
+// cellDraw draws per-cell streams: the element at the granted cell
+// index is shard-owned, a fixed element is one stream shared by every
+// shard.
+//
+//fdlint:parallel
+func (e *engine) cellDraw(ci int) {
+	_ = e.tagSrc[ci].Uint64()
+	_ = e.tagSrc[0].Uint64() // want `uses a \*simrand.Source not rooted at a parameter`
 }
 
 // chatty does channel traffic on a worker: parallel sections must be

@@ -112,7 +112,7 @@ func (e *engine) externalPartition(lo, hi int) {
 }
 
 // prep takes no integer grant: there is no shard parameter to derive
-// from, so the checker skips it (sharded still governs its streams).
+// from, so the write rules skip it (its draws are still checked).
 //
 //fdlint:parallel
 func (e *engine) prep(w *worker) {

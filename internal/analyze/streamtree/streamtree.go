@@ -1,12 +1,21 @@
-// Package streamtree proves seed provenance for the engine's random
-// streams: every *simrand.Source must be constructed (or reseeded)
-// from a value derived from the run seed through the blessed
+// Package streamtree enforces the engine's determinism contract at its
+// root: every simulation result must be a pure function of
+// (Scenario, seed). It has two halves.
+//
+// Ambient state: engine packages may not import an unseeded RNG or
+// use a wall clock, the process environment or the host's shape. All
+// randomness must flow from the seeded simrand split tree, whose
+// sources are threaded explicitly through the code — including through
+// interfaces.
+//
+// Seed provenance: every *simrand.Source must be constructed (or
+// reseeded) from a value derived from the run seed through the blessed
 // operations — simrand.Mix64, integer arithmetic on seed values, and
 // package helpers that provably return seed-derived values (tracked as
-// object facts). Sources seeded from literals, wall clocks, or ambient
-// RNG break the (Scenario, seed) purity contract and are flagged, as
-// is storing one loop-invariant source value into per-element storage
-// (two tags or shards would then share — alias — a single stream).
+// object facts). Sources seeded from literals or ambient state are
+// flagged, as is storing one loop-invariant source value into
+// per-element storage (two tags or shards would then share — alias — a
+// single stream).
 //
 // The escape hatch is //fdlint:stream-ok REASON on the offending line,
 // for sources that are provably re-seeded before every use (scratch
@@ -22,8 +31,50 @@ import (
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
 	"repro/internal/analyze/dataflow"
-	"repro/internal/analyze/purestream"
 )
+
+// enginePackages are the import-path suffixes streamtree governs: the
+// packages that execute inside a simulation and therefore must stay
+// pure. Matching by suffix keeps the analyzer honest on corpus
+// packages and on a future module rename.
+var enginePackages = []string{
+	"internal/core",
+	"internal/netsim",
+	"internal/mac",
+	"internal/channel",
+	"internal/phy",
+	"internal/sigproc",
+	"internal/rateadapt",
+	"internal/energy",
+}
+
+// Governs reports whether streamtree applies to the package path.
+func Governs(path string) bool {
+	for _, sfx := range enginePackages {
+		if path == sfx || strings.HasSuffix(path, "/"+sfx) {
+			return true
+		}
+	}
+	return false
+}
+
+// ambient maps the ambient-state escape hatches to the reason they are
+// banned: imports by path, package-level functions and variables by
+// "pkgname.Name". Engine packages may not use them, and a seed
+// expression that reaches one is tainted.
+var ambient = map[string]string{
+	"math/rand":      "unseeded global randomness; thread a simrand.Source instead",
+	"math/rand/v2":   "RNG outside the seeded split tree; thread a simrand.Source instead",
+	"crypto/rand":    "nondeterministic entropy; thread a simrand.Source instead",
+	"time.Now":       "wall-clock time makes results time-dependent",
+	"time.Since":     "wall-clock time makes results time-dependent",
+	"time.Until":     "wall-clock time makes results time-dependent",
+	"os.Getenv":      "environment reads make results host-dependent",
+	"os.LookupEnv":   "environment reads make results host-dependent",
+	"os.Environ":     "environment reads make results host-dependent",
+	"os.Hostname":    "host identity makes results host-dependent",
+	"runtime.NumCPU": "hardware shape must not influence simulation output",
+}
 
 // Analyzer is the streamtree analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -53,32 +104,13 @@ const (
 	provTainted
 )
 
-// taintedCalls are the ambient-state escape hatches (purestream's ban
-// list) that make a seed expression tainted rather than merely
-// unproven, keyed by "pkgname.Func".
-var taintedCalls = map[string]bool{
-	"time.Now":     true,
-	"time.Since":   true,
-	"time.Until":   true,
-	"os.Getenv":    true,
-	"os.LookupEnv": true,
-	"os.Environ":   true,
-	"os.Hostname":  true,
-}
-
-// taintedPackages taint every function they export.
-var taintedPackages = map[string]bool{
-	"math/rand":    true,
-	"math/rand/v2": true,
-	"crypto/rand":  true,
-}
-
 func run(pass *analysis.Pass) (interface{}, error) {
-	if !purestream.Governs(pass.Pkg.Path()) {
+	if !Governs(pass.Pkg.Path()) {
 		return nil, nil
 	}
 	exportDeriveFacts(pass)
 	for _, f := range pass.Files {
+		checkAmbient(pass, f)
 		af := annotate.NewFile(pass.Fset, f)
 		for _, d := range af.All() {
 			if d.Verb == "stream-ok" && d.Reason == "" {
@@ -94,6 +126,42 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	return nil, nil
+}
+
+// checkAmbient reports the file's imports of banned packages and its
+// uses of banned package-level functions and variables.
+func checkAmbient(pass *analysis.Pass, f *ast.File) {
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		if why, bad := ambient[path]; bad {
+			pass.Reportf(imp.Pos(), "engine package imports %s: %s", path, why)
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		obj := pass.TypesInfo.Uses[sel.Sel]
+		if obj == nil || obj.Pkg() == nil {
+			return true
+		}
+		// Package-level functions and variables only: methods have a
+		// receiver and are reached through explicitly threaded values.
+		switch obj.(type) {
+		case *types.Func, *types.Var:
+		default:
+			return true
+		}
+		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+			return true
+		}
+		name := obj.Pkg().Name() + "." + obj.Name()
+		if why, bad := ambient[name]; bad {
+			pass.Reportf(sel.Pos(), "engine package uses %s: %s", name, why)
+		}
+		return true
+	})
 }
 
 // exportDeriveFacts runs the provenance evaluator over every function
@@ -132,7 +200,7 @@ func exportDeriveFacts(pass *analysis.Pass) {
 // returnsDerived reports whether every return expression of fd
 // evaluates to provDerived (and at least one return exists).
 func returnsDerived(pass *analysis.Pass, fd *ast.FuncDecl) bool {
-	if !isIntegral(resultType(pass, fd)) {
+	if !dataflow.IsIntegral(resultType(pass, fd)) {
 		return false
 	}
 	c := dataflow.New(pass.TypesInfo, fd)
@@ -203,7 +271,7 @@ func checkFunc(pass *analysis.Pass, af *annotate.File, fd *ast.FuncDecl) {
 // checkSeedCall classifies the seed argument of simrand.New and
 // (*simrand.Source).Reseed calls.
 func checkSeedCall(pass *analysis.Pass, af *annotate.File, ev *dataflow.Evaluator, call *ast.CallExpr) {
-	obj := calleeObject(pass.TypesInfo, call)
+	obj := dataflow.Callee(pass.TypesInfo, call)
 	if obj == nil || obj.Pkg() == nil || obj.Pkg().Name() != "simrand" || len(call.Args) != 1 {
 		return
 	}
@@ -242,7 +310,7 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 			continue
 		}
 		rhs := ast.Unparen(as.Rhs[i])
-		if !isSourceType(pass.TypesInfo.TypeOf(rhs)) {
+		if !dataflow.IsSource(pass.TypesInfo.TypeOf(rhs)) {
 			continue
 		}
 		switch v := rhs.(type) {
@@ -288,13 +356,13 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 			// its declaration site (its own initializer is checked
 			// there). Locals with recorded definitions are judged by
 			// those definitions instead, so `seed := 42` stays literal.
-			if obj != nil && len(c.Defs(obj)) == 0 && seedName(v.Name) && isIntegral(obj.Type()) {
+			if obj != nil && len(c.Defs(obj)) == 0 && seedName(v.Name) && dataflow.IsIntegral(obj.Type()) {
 				return provDerived
 			}
 			return provUnknown
 		case *ast.SelectorExpr:
 			if seedName(v.Sel.Name) {
-				if tv, ok := pass.TypesInfo.Types[e]; ok && isIntegral(tv.Type) {
+				if tv, ok := pass.TypesInfo.Types[e]; ok && dataflow.IsIntegral(tv.Type) {
 					return provDerived
 				}
 			}
@@ -315,14 +383,14 @@ func transfer(pass *analysis.Pass, c *dataflow.Chains) dataflow.Transfer {
 				// Conversion: uint64(x) carries x's provenance.
 				return eval(v.Args[0])
 			}
-			obj := calleeObject(pass.TypesInfo, v)
+			obj := dataflow.Callee(pass.TypesInfo, v)
 			if obj == nil || obj.Pkg() == nil {
 				return provUnknown
 			}
-			if taintedPackages[obj.Pkg().Path()] {
+			if _, bad := ambient[obj.Pkg().Path()]; bad {
 				return provTainted
 			}
-			if taintedCalls[obj.Pkg().Name()+"."+obj.Name()] {
+			if _, bad := ambient[obj.Pkg().Name()+"."+obj.Name()]; bad {
 				return provTainted
 			}
 			// Taint flows THROUGH any call (time.Now().UnixNano(),
@@ -368,31 +436,6 @@ func seedName(name string) bool {
 	return strings.Contains(strings.ToLower(name), "seed")
 }
 
-// isIntegral reports whether t is an integer type (after unwrapping
-// named types).
-func isIntegral(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsInteger != 0
-}
-
-// isSourceType reports whether t is *simrand.Source (by package name
-// and type name, so corpus simrand shims qualify).
-func isSourceType(t types.Type) bool {
-	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Source" && obj.Pkg() != nil && obj.Pkg().Name() == "simrand"
-}
-
 // containsIndex reports whether the expression chain contains an index
 // operation (an element access).
 func containsIndex(e ast.Expr) bool {
@@ -408,15 +451,4 @@ func containsIndex(e ast.Expr) bool {
 			return false
 		}
 	}
-}
-
-// calleeObject resolves the called function or method object.
-func calleeObject(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
-	}
-	return nil
 }

@@ -1,4 +1,4 @@
-// Package clock is NOT an engine package: purestream must stay silent
+// Package clock is NOT an engine package: streamtree must stay silent
 // here even though it uses wall-clock time and the environment.
 package clock
 

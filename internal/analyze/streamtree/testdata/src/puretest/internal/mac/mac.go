@@ -1,4 +1,4 @@
-// Package mac is an engine-suffixed corpus package: purestream must
+// Package mac is an engine-suffixed corpus package: streamtree must
 // reject ambient randomness, wall clocks and environment reads here,
 // while accepting seeded simrand sources — including through
 // interfaces.

@@ -59,7 +59,7 @@ func literalDirect() *simrand.Source {
 
 // wallClock seeds from the wall clock: tainted, not merely unproven.
 func wallClock() *simrand.Source {
-	return simrand.New(uint64(time.Now().UnixNano())) // want `seeded from ambient state`
+	return simrand.New(uint64(time.Now().UnixNano())) // want `seeded from ambient state` `engine package uses time.Now`
 }
 
 // unproven seeds from a parameter with no seed pedigree.

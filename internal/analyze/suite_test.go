@@ -27,7 +27,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		t.Fatalf("fdlint: %d finding(s); the contracts above are documented in README.md \"Static analysis\"", len(findings))
 	}
 	// The perf contract behind the shared loader: the module is listed
-	// and type-checked once, shared by all seven analyzers, so a cold
+	// and type-checked once, shared by all five analyzers, so a cold
 	// full-module suite run stays interactive. 3s is ~2x the observed
 	// cold time; a regression past it means per-analyzer reloading (or
 	// an analyzer doing quadratic work) crept back in.
@@ -59,8 +59,7 @@ func TestAllAnalyzers(t *testing.T) {
 	for _, a := range analyze.All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"noalloc", "orderedrange", "purestream", "sharded",
-		"shardwrite", "streamtree", "validatecover"}
+	want := []string{"noalloc", "orderedrange", "shardwrite", "streamtree", "validatecover"}
 	if len(names) != len(want) {
 		t.Fatalf("All() = %v, want %v", names, want)
 	}

@@ -17,7 +17,8 @@
 //     count. CI cmp's two runs of the fading-dock example.
 //   - Admission is bounded: at most Config.MaxConcurrent engines run at
 //     once; excess requests get 429 with a Retry-After header, and
-//     scenarios above Config.MaxTags get 413 before any engine spins up.
+//     scenarios above Config.MaxTags, and request bodies above 1 MiB,
+//     get 413 before any engine spins up.
 //   - Every round line carries a self-contained resume token; replaying
 //     it (?resume=) streams the remaining rounds byte-identically to the
 //     uninterrupted stream's tail (see netsim.StreamOptions.StartRound).
@@ -26,6 +27,7 @@ package netsvc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -246,7 +248,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxScenarioBody bounds a request body; a scenario JSON is small, and
-// unknown fields are rejected anyway.
+// unknown fields are rejected anyway. Larger bodies get 413.
 const maxScenarioBody = 1 << 20
 
 // handleRun admits, validates and streams one scenario run.
@@ -276,8 +278,14 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	default:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxScenarioBody))
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxScenarioBody))
 		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				jsonError(w, http.StatusRequestEntityTooLarge,
+					"request body exceeds %d bytes", maxScenarioBody)
+				return
+			}
 			jsonError(w, http.StatusBadRequest, "read body: %v", err)
 			return
 		}

@@ -74,20 +74,35 @@ func TestMalformedScenarioRejected(t *testing.T) {
 	}
 }
 
-// TestTagCapRejected: a scenario above MaxTags gets 413 before any
-// engine is admitted.
+// TestTagCapRejected: a scenario above MaxTags, and a body above the
+// 1 MiB cap, get 413 before any engine spins up. The oversized body is
+// a valid scenario padded with whitespace, so a silently truncated
+// read would parse and stream instead.
 func TestTagCapRejected(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxTags: 100})
-	resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(`{"tags": 101}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("status %d, want 413", resp.StatusCode)
-	}
-	if n := s.ActiveRuns(); n != 0 {
-		t.Errorf("ActiveRuns = %d after a 413", n)
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"tag cap", `{"tags": 101}`},
+		{"body cap", `{"tags": 8}` + strings.Repeat(" ", 2<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{MaxTags: 100})
+			resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413", resp.StatusCode)
+			}
+			var e map[string]string
+			if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e["error"] == "" {
+				t.Errorf("413 body is not a JSON error: %v %v", e, err)
+			}
+			if n := s.ActiveRuns(); n != 0 {
+				t.Errorf("ActiveRuns = %d after a 413", n)
+			}
+		})
 	}
 }
 
