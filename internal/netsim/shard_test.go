@@ -28,15 +28,7 @@ func shardScenarios(t *testing.T) []Scenario {
 		}
 		out = append(out, sc)
 	}
-	// TDM + mobility + half-duplex probing adaptation + open-loop
-	// traffic in one scenario: every serial stream is live at once.
-	out = append(out, Scenario{
-		Name: "tdm-mobile-adapt", Tags: 48, Topology: TopologyUniformDisc, RadiusM: 16,
-		Readers:     ReaderSpec{Count: 3, Placement: ReaderLine, SpacingM: 10, Scheduling: SchedulingTDM},
-		Mobility:    MobilitySpec{Model: MobilityWaypoint, StepM: 1, EpochRounds: 3},
-		RateAdapt:   RateAdaptSpec{Adapter: RateAdaptARF, FadeRho: 0.9},
-		OfferedLoad: 0.4, MaxRounds: 40, Protocol: "block-ack",
-	})
+	out = append(out, tdmMobileAdaptScenario())
 	// The analytic fast path must obey the same contract.
 	an, err := Preset("warehouse")
 	if err != nil {
@@ -54,6 +46,19 @@ func shardScenarios(t *testing.T) []Scenario {
 	mob.Analytic = true
 	out = append(out, mob)
 	return out
+}
+
+// tdmMobileAdaptScenario puts TDM, mobility, half-duplex probing
+// adaptation and open-loop traffic in one scenario: every serial stream
+// is live at once.
+func tdmMobileAdaptScenario() Scenario {
+	return Scenario{
+		Name: "tdm-mobile-adapt", Tags: 48, Topology: TopologyUniformDisc, RadiusM: 16,
+		Readers:     ReaderSpec{Count: 3, Placement: ReaderLine, SpacingM: 10, Scheduling: SchedulingTDM},
+		Mobility:    MobilitySpec{Model: MobilityWaypoint, StepM: 1, EpochRounds: 3},
+		RateAdapt:   RateAdaptSpec{Adapter: RateAdaptARF, FadeRho: 0.9},
+		OfferedLoad: 0.4, MaxRounds: 40, Protocol: "block-ack",
+	}
 }
 
 func TestShardDeterminismAcrossWorkers(t *testing.T) {
