@@ -37,7 +37,10 @@
 // receiver's struct-of-arrays columns (or aliases of them) must land at
 // a derived index: cross-index writes (a literal slot, a field-loaded
 // cursor, another shard's variable) and whole-column writes (slice
-// replace, copy/clear/append over a shared column) are flagged.
+// replace, copy/clear/append over a shared column) are flagged. A local
+// variable is its own storage: writing a field of a local struct copy
+// of shared state is shard-local, unless the write goes through a
+// pointer or a reference the copy carries.
 //
 // The write rules apply to //fdlint:parallel functions in any package;
 // the goroutine, channel, stream and serial rules to internal/netsim.
@@ -286,7 +289,7 @@ func (ck *checker) checkLvalue(lv ast.Expr) {
 				return
 			}
 		}
-		if ck.shared(lv, map[types.Object]bool{}) && !ck.suppressed(lv) {
+		if ck.sharedStorage(lv) && !ck.suppressed(lv) {
 			ck.pass.Reportf(lv.Pos(),
 				"parallel shard writes engine-shared state without an element index: whole-column and shared-field writes race across shards (//fdlint:shard-ok REASON if ownership is external)")
 		}
@@ -331,6 +334,27 @@ func (ck *checker) checkBulkCall(call *ast.CallExpr) {
 		ck.pass.Reportf(call.Args[0].Pos(),
 			"parallel shard applies %s to an engine-shared column: bulk writes race across shards (//fdlint:shard-ok REASON if the range is shard-owned)", id.Name)
 	}
+}
+
+// sharedStorage reports whether assigning to the index-free lvalue e
+// writes engine-shared memory. Unlike shared, which asks whether a
+// value may reference shared memory, it treats a local variable as its
+// own storage: a field of a local struct copy (c := e.cfg; c.x = 1) is
+// shard-local even though the copy's source is shared. Selecting
+// through a pointer falls back to shared on the pointer.
+func (ck *checker) sharedStorage(e ast.Expr) bool {
+	switch v := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		if sel, ok := ck.pass.TypesInfo.Selections[v]; ok && sel.Kind() == types.FieldVal && !sel.Indirect() {
+			return ck.sharedStorage(v.X)
+		}
+	case *ast.Ident:
+		obj, isVar := ck.chains.Obj(v).(*types.Var)
+		if isVar && !ck.isReceiver(obj) && obj.Parent() != obj.Pkg().Scope() {
+			return false
+		}
+	}
+	return ck.shared(e, map[types.Object]bool{})
 }
 
 // shared reports whether the expression denotes engine-shared storage

@@ -1,12 +1,18 @@
 // Package netsim is the shardwrite corpus: a miniature of the
 // engine's struct-of-arrays round state exercising the index
 // provenance rules — range-parameter indices, arithmetic and
-// partition-column indirection, element-pointer narrowing, cross-index
-// and whole-column violations, and the shard-ok escape hatch.
+// partition-column indirection, element-pointer narrowing, local struct
+// copies, cross-index and whole-column violations, and the shard-ok
+// escape hatch.
 package netsim
 
 type worker struct {
 	slots []int32
+}
+
+type config struct {
+	drawW float64
+	buf   []int64
 }
 
 type engine struct {
@@ -16,6 +22,7 @@ type engine struct {
 	activeCells []int32
 	cursor      int
 	total       int64
+	cfg         config
 }
 
 // goodShard writes its granted range [lo, hi): every index is the
@@ -60,6 +67,22 @@ func (e *engine) goodScratch(w *worker, lo, hi int) {
 //fdlint:parallel
 func (e *engine) goodSlicedBulk(lo, hi int) {
 	copy(e.stats[lo:hi], e.cellAcc)
+}
+
+// localCopy steps a shard-local copy of shared configuration: a local
+// struct is its own storage, so writing its fields races with nothing,
+// while writing through a reference the copy carries, or through a
+// pointer to the original, still does.
+//
+//fdlint:parallel
+func (e *engine) localCopy(lo, hi int) {
+	c := e.cfg
+	for i := lo; i < hi; i++ {
+		c.drawW = float64(i)
+		c.buf[0] = 1 // want `index not derived from the shard's own parameters`
+	}
+	p := &e.cfg
+	p.drawW = 0 // want `writes engine-shared state without an element index`
 }
 
 // crossIndex writes shared columns at a field-loaded cursor and a

@@ -203,6 +203,20 @@ func (b *Budget) OutageFraction() float64 {
 	return b.outageT / b.totalT
 }
 
+// State returns the budget's per-instance state: the stored energy, the
+// accumulated outage time and the total stepped time. Everything else
+// Step reads is configuration, so a population of budgets sharing one
+// configuration can store just this state per instance and step each
+// one through a single scratch Budget loaded with SetState.
+func (b *Budget) State() (energyJ, outageT, totalT float64) {
+	return b.Cap.energyJ, b.outageT, b.totalT
+}
+
+// SetState loads a per-instance state saved by State.
+func (b *Budget) SetState(energyJ, outageT, totalT float64) {
+	b.Cap.energyJ, b.outageT, b.totalT = energyJ, outageT, totalT
+}
+
 // Reset clears accumulated outage statistics (not the capacitor state).
 func (b *Budget) Reset() { b.totalT, b.outageT = 0, 0 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/simrand"
 )
 
 func TestHarvesterEfficiency(t *testing.T) {
@@ -228,5 +230,77 @@ func TestStoreDrawRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A population sharing one configuration can keep only State per
+// instance and step through one scratch Budget; replaying random steps
+// both ways must agree with whole-struct Budgets bit for bit: every
+// Step verdict, stored energy, outage time and outage fraction.
+func TestBudgetStateReplayMatchesWholeStruct(t *testing.T) {
+	cfg := Budget{
+		Harvester: Harvester{Efficiency: 0.3, SensitivityW: 1e-7},
+		Cap:       Capacitor{CapacitanceF: 47e-6, LeakageW: 1e-7},
+		CircuitW:  2e-7,
+	}
+	cfg.Cap.SetVoltage(2.4)
+	const n, steps = 8, 4000
+	src := simrand.New(5)
+	whole := make([]Budget, n)
+	energyJ := make([]float64, n)
+	outageT := make([]float64, n)
+	for i := range whole {
+		whole[i] = cfg
+		energyJ[i], outageT[i], _ = cfg.State()
+	}
+	var totalT float64
+	outages := 0
+	for k := 0; k < steps; k++ {
+		dt := 0.05 * src.Float64()
+		if src.Bool(0.05) {
+			dt = 0
+		}
+		scratch := cfg
+		for i := range whole {
+			// Incident power straddles the sensitivity floor and
+			// circuit bursts straddle the harvest, so tags brown out
+			// and recover.
+			incidentW := 2e-3 * src.Float64() * src.Float64()
+			circuitW := cfg.CircuitW
+			if src.Bool(0.3) {
+				circuitW += 1e-3 * src.Float64()
+			}
+			whole[i].CircuitW = circuitW
+			okWhole := whole[i].Step(incidentW, dt)
+			scratch.CircuitW = circuitW
+			scratch.SetState(energyJ[i], outageT[i], totalT)
+			okState := scratch.Step(incidentW, dt)
+			energyJ[i], outageT[i], _ = scratch.State()
+			if okWhole != okState {
+				t.Fatalf("step %d budget %d: Step verdict %v via state, %v whole", k, i, okState, okWhole)
+			}
+			if !okWhole {
+				outages++
+			}
+			if math.Float64bits(energyJ[i]) != math.Float64bits(whole[i].Cap.Energy()) ||
+				math.Float64bits(outageT[i]) != math.Float64bits(whole[i].outageT) {
+				t.Fatalf("step %d budget %d: state (%g J, %g s) diverged from whole struct (%g J, %g s)",
+					k, i, energyJ[i], outageT[i], whole[i].Cap.Energy(), whole[i].outageT)
+			}
+		}
+		totalT += dt
+	}
+	if outages == 0 || outages == n*steps {
+		t.Fatalf("replay saw %d outage steps of %d: it never exercised both branches", outages, n*steps)
+	}
+	for i := range whole {
+		b := cfg
+		b.SetState(energyJ[i], outageT[i], totalT)
+		if got, want := b.OutageFraction(), whole[i].OutageFraction(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("budget %d: outage fraction %g via state, %g whole", i, got, want)
+		}
+		if _, _, tt := whole[i].State(); math.Float64bits(tt) != math.Float64bits(totalT) {
+			t.Fatalf("budget %d: whole-struct total time %g, shared total %g", i, tt, totalT)
+		}
 	}
 }

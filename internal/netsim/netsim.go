@@ -68,18 +68,21 @@ import (
 // tagState is the engine's per-tag state as parallel slices (struct of
 // arrays): each round-loop pass touches only the columns it needs, so a
 // million-tag pass streams contiguous memory instead of striding over
-// one fat struct per tag.
+// one fat struct per tag. A column exists only when some phase reads it
+// per tag: configuration every tag shares (the energy budget's
+// harvester, capacitor and circuit draw) lives once on the engine.
 type tagState struct {
-	pos      []Position
-	reader   []int32   // serving reader (strongest carrier, re-derived per epoch)
-	carrierW []float64 // serving carrier power at the tag antenna
-	harvestW []float64 // total harvestable RF power under independent scheduling
-	lossP    []float64 // geometry-derived forward chunk-loss probability
-	fbBER    []float64 // geometry-derived feedback BER
-	queue    []int32   // frames awaiting delivery
-	budget   []energy.Budget
-	alive    []bool
-	dieTime  []float64 // seconds at death, for lifetime stats
+	pos      []Position // PlaceTags' slice, moved by the mobility walk
+	reader   []int32    // serving reader (strongest carrier, re-derived per epoch)
+	harvestW []float64  // total harvestable RF power under independent scheduling
+	lossP    []float64  // geometry-derived forward chunk-loss probability
+	fbBER    []float64  // geometry-derived feedback BER
+	queue    []int32    // frames awaiting delivery
+	// Energy budget state: stored energy and accumulated outage time,
+	// stepped through the engine's shared energy.Budget configuration.
+	energyJ []float64
+	outageT []float64
+	alive   []bool
 	// Per-round accumulators for energy accounting.
 	txCount []int32   // frames transmitted this round
 	txDt    []float64 // seconds spent transmitting this round
@@ -93,16 +96,14 @@ type tagState struct {
 
 func newTagState(n int) tagState {
 	return tagState{
-		pos:      make([]Position, n),
 		reader:   make([]int32, n),
-		carrierW: make([]float64, n),
 		harvestW: make([]float64, n),
 		lossP:    make([]float64, n),
 		fbBER:    make([]float64, n),
 		queue:    make([]int32, n),
-		budget:   make([]energy.Budget, n),
+		energyJ:  make([]float64, n),
+		outageT:  make([]float64, n),
 		alive:    make([]bool, n),
-		dieTime:  make([]float64, n),
 		txCount:  make([]int32, n),
 		txDt:     make([]float64, n),
 		lossHi:   make([]uint64, n),
@@ -361,8 +362,15 @@ type engine struct {
 	sched   *schedState // reader scheduling policy state (nil under PolicyAloha)
 	flt     *faultState // fault-injection state (nil when disabled)
 	// gains[i*R+r] is the linear power gain from reader r to tag i,
-	// re-derived per epoch under mobility.
+	// re-derived per epoch under mobility. Only TDM settlement reads it
+	// (a tag harvests the epoch's single carrier); nil otherwise.
 	gains []float64
+	// budget is the energy budget configuration every tag shares (its
+	// own state is the scenario's start voltage); budgetT is the time
+	// every tag's budget has been stepped through, since settlement
+	// steps every tag, dead or alive, by the same dt each round.
+	budget  energy.Budget
+	budgetT float64
 	// Reader-cell association in CSR form: the tags served by reader r
 	// are tagsByReader[readerOff[r]:readerOff[r+1]], in tag index order.
 	// Rebuilt per epoch with no allocation; cells are the unit of
@@ -379,7 +387,8 @@ type engine struct {
 	// and written into each worker's params copy before a frame.
 	params mac.Params
 
-	// Round-loop scratch.
+	// Round-loop scratch. harvest records each tag's settled harvest
+	// power for the roundProbe; nil in production runs.
 	slotChoice []int32
 	harvest    []float64
 
@@ -478,7 +487,6 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		readers:        readers,
 		rstats:         make([]ReaderStats, R),
 		tags:           newTagState(sc.Tags),
-		gains:          make([]float64, sc.Tags*R),
 		tagsByReader:   make([]int32, sc.Tags),
 		readerOff:      make([]int32, R+1),
 		readerFill:     make([]int32, R),
@@ -486,7 +494,6 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		analytic:       sc.Analytic,
 		params:         params,
 		slotChoice:     make([]int32, sc.Tags),
-		harvest:        make([]float64, sc.Tags),
 		secondsPerByte: 8 / sc.BitRateBps,
 		chunkAir:       chunkAir,
 		collisionCost:  collisionCost,
@@ -495,9 +502,20 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		cellAcc:        make([]cellAcc, R),
 		activeReader:   -1,
 	}
-	if !e.tdm {
+	if e.tdm {
+		e.gains = make([]float64, sc.Tags*R)
+	} else {
 		e.couplingW = math.Pow(10, -sc.Readers.IsolationdB/10)
 	}
+	if probe != nil {
+		e.harvest = make([]float64, sc.Tags)
+	}
+	e.budget = energy.Budget{
+		Harvester: energy.Harvester{Efficiency: sc.HarvesterEff, SensitivityW: sc.HarvesterFloorW},
+		Cap:       energy.Capacitor{CapacitanceF: sc.CapacitanceF},
+		CircuitW:  sc.IdleCircuitW,
+	}
+	e.budget.Cap.SetVoltage(sc.StartVoltageV)
 	for r := range e.rstats {
 		e.rstats[r] = ReaderStats{ID: r, X: readers[r].X, Y: readers[r].Y}
 	}
@@ -687,6 +705,7 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		e.settleNow = float64(res.ElapsedBytes) * e.secondsPerByte
 		e.pool.anyQueued.Store(false)
 		e.pool.dispatch(phaseSettle)
+		e.budgetT += e.settleDt
 		anyQueued = e.pool.anyQueued.Load()
 
 		if probe != nil {
@@ -878,10 +897,10 @@ func (e *engine) deriveLinks() {
 }
 
 // initShard is the parallel body of per-tag setup for tags [lo, hi):
-// energy budget, queue preload, stream-seed expansion, and the fade
+// stored energy, queue preload, stream-seed expansion, and the fade
 // row. Each tag's state is a pure function of the two root words parked
 // in its loss columns (plus the scenario), so the result is identical
-// however the ranges are sharded. Budget and stats fields are assigned
+// however the ranges are sharded. Stats fields are assigned
 // individually — the fresh slices are already zero, so whole-struct
 // literals would only re-clear memory the allocator cleared.
 //
@@ -895,14 +914,10 @@ func (e *engine) initShard(w *netWorker, lo, hi int) {
 	// is the two root words), NewIIDLoss split the loss stream off it,
 	// and a second split made the protocol stream.
 	seedSrc := w.lossSrc
+	startJ, _, _ := e.budget.State()
 	for i := lo; i < hi; i++ {
 		t.alive[i] = true
-		b := &t.budget[i]
-		b.Harvester.Efficiency = sc.HarvesterEff
-		b.Harvester.SensitivityW = sc.HarvesterFloorW
-		b.Cap.CapacitanceF = sc.CapacitanceF
-		b.CircuitW = sc.IdleCircuitW
-		b.Cap.SetVoltage(sc.StartVoltageV)
+		t.energyJ[i] = startJ
 		t.stats[i].ID = i
 		seedSrc.SetState(t.lossHi[i], t.lossLo[i])
 		t.lossHi[i], t.lossLo[i] = seedSrc.Uint64(), seedSrc.Uint64()
@@ -940,7 +955,9 @@ func (e *engine) deriveShard(lo, hi int) {
 		px, py := t.pos[i].X, t.pos[i].Y
 		for r := 0; r < R; r++ {
 			g := e.pl.Gain(math.Hypot(px-e.readers[r].X, py-e.readers[r].Y))
-			e.gains[base+r] = g
+			if e.gains != nil {
+				e.gains[base+r] = g
+			}
 			if downMask != nil && downMask[r] {
 				continue
 			}
@@ -950,18 +967,18 @@ func (e *engine) deriveShard(lo, hi int) {
 			}
 		}
 		t.reader[i] = int32(best)
-		t.carrierW[i] = sc.TxPowerW * bestG
+		carrierW := sc.TxPowerW * bestG
 		t.harvestW[i] = sumW
 
 		// Inter-reader interference: under independent scheduling the
 		// other carriers leak through the channel isolation into this
 		// tag's noise floor every round. Under TDM neighbours are never
 		// active in the same epoch, so nothing is added.
-		noiseW := sc.NoiseW + e.couplingW*(sumW-t.carrierW[i])
+		noiseW := sc.NoiseW + e.couplingW*(sumW-carrierW)
 
 		// Forward link: SNR at the tag sets the chunk-loss cliff exactly
 		// as the rate-adaptation channel model does.
-		snrDB := 10 * math.Log10(t.carrierW[i]/noiseW)
+		snrDB := 10 * math.Log10(carrierW/noiseW)
 		lossP := rateadapt.ChunkLossProb(e.rate, snrDB)
 		// Reverse link: the backscattered feedback rides a round-trip
 		// channel; its BER follows the Manchester decoder prediction with
@@ -1001,6 +1018,10 @@ func (e *engine) settleShard(lo, hi int) {
 	t := &e.tags
 	R := len(e.readers)
 	dt := e.settleDt
+	// b is this shard's scratch copy of the shared budget
+	// configuration; each tag's own state is loaded into it around the
+	// step.
+	b := e.budget
 	queued := false
 	for i := lo; i < hi; i++ {
 		harvestW := t.harvestW[i]
@@ -1018,14 +1039,18 @@ func (e *engine) settleShard(lo, hi int) {
 			}
 			circuitW += float64(t.txCount[i]) * sc.TxEnergyJ / dt
 		}
-		e.harvest[i] = harvestW
-		b := &t.budget[i]
+		if e.harvest != nil {
+			e.harvest[i] = harvestW
+		}
 		b.CircuitW = circuitW
+		b.SetState(t.energyJ[i], t.outageT[i], e.budgetT)
 		ok := b.Step(harvestW, dt)
-		b.CircuitW = sc.IdleCircuitW
+		t.energyJ[i], t.outageT[i], _ = b.State()
 		if !ok && t.alive[i] {
+			// Death is latched, so the time of death is final: drain
+			// overwrites LifetimeS only for the survivors.
 			t.alive[i] = false
-			t.dieTime[i] = e.settleNow
+			t.stats[i].LifetimeS = e.settleNow
 		}
 		if t.alive[i] && (t.queue[i] > 0 || (e.cong != nil && e.cong.retxQ[i] > 0)) {
 			// Parked retransmissions count as pending work: a closed-loop
@@ -1046,6 +1071,7 @@ func (e *engine) settleShard(lo, hi int) {
 func (e *engine) drainShard(lo, hi int) {
 	t := &e.tags
 	sim := e.res.SimulatedS
+	b := e.budget
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
 		if f := e.fade; f != nil {
@@ -1068,12 +1094,11 @@ func (e *engine) drainShard(lo, hi int) {
 				ts.SRTTRounds = c.srtt[i]
 			}
 		}
-		ts.OutageFraction = t.budget[i].OutageFraction()
+		b.SetState(t.energyJ[i], t.outageT[i], e.budgetT)
+		ts.OutageFraction = b.OutageFraction()
 		ts.Alive = t.alive[i]
 		if t.alive[i] {
 			ts.LifetimeS = sim
-		} else {
-			ts.LifetimeS = t.dieTime[i]
 		}
 	}
 }

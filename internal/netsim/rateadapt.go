@@ -113,8 +113,9 @@ func (r RateAdaptSpec) validate() error {
 				i, rt.Name, rt.ReqSNRdB, r.Rates[i-1].ReqSNRdB)
 		}
 	}
-	if r.UpAfter < 0 || r.DownAfter < 0 {
-		return fmt.Errorf("netsim: rate_adapt up_after %d / down_after %d must be non-negative (0 takes the default)", r.UpAfter, r.DownAfter)
+	if r.UpAfter < 0 || r.DownAfter < 0 || r.UpAfter > math.MaxInt32 || r.DownAfter > math.MaxInt32 {
+		return fmt.Errorf("netsim: rate_adapt up_after %d / down_after %d outside [0, %d] (0 takes the default)",
+			r.UpAfter, r.DownAfter, math.MaxInt32)
 	}
 	return nil
 }
@@ -157,7 +158,7 @@ func fadeSeed(seed uint64, tag int) uint64 {
 // fadeState is the closed-loop adaptation state for every tag, stored
 // as parallel columns like tagState: the Gauss-Markov coefficient and
 // its cached gain, the per-tag fading stream state (inline PCG words),
-// the adapter instances by value, and the whole-run accumulators that
+// the adapter's mutable state, and the whole-run accumulators that
 // drain into TagStats. A worker binds a fadeView over one tag's row for
 // the duration of a MAC exchange; the binding worker (the tag's cell
 // owner) is the only goroutine that touches the row, so no
@@ -178,15 +179,16 @@ type fadeState struct {
 	// into a worker's scratch Source around each exchange.
 	fadeHi, fadeLo []uint64
 
-	// Adapter state by value: exactly one of arf/fdp is non-nil, or
-	// neither and every tag shares the stateless fixed policy.
-	arf   []rateadapt.ARF
-	fdp   []rateadapt.FullDuplex
-	fixed *rateadapt.Fixed
+	// policy is the adapter configuration every tag shares, in its
+	// initial state; each worker's fadeView runs a copy of it. Per tag
+	// only the adapter's mutable state is stored: the rate index and
+	// success streak under arf and fd, plus the failure streak under
+	// arf (nil columns otherwise; the fixed policy has no state).
+	policy                   rateadapt.Adapter
+	rateIdx, goodRun, badRun []int32
 	// Per-row init parameters (initRow runs sharded across workers).
-	seed               uint64
-	upAfter, downAfter int
-	initRate           int32
+	seed     uint64
+	initRate int32
 
 	// Whole-run accumulators, drained into TagStats at the end.
 	// rateChunks/rateLost are row-major [tag*nr+rate].
@@ -223,38 +225,27 @@ func newFadeState(spec RateAdaptSpec, n int, seed uint64) *fadeState {
 		invMult:    make([]float64, n),
 		rateChunks: make([]int64, n*nr),
 		rateLost:   make([]int64, n*nr),
+		policy:     spec.newAdapter(),
 		seed:       seed,
-		upAfter:    spec.UpAfter,
-		downAfter:  spec.DownAfter,
 	}
 	switch spec.Adapter {
 	case RateAdaptARF:
-		f.arf = make([]rateadapt.ARF, n)
+		f.badRun = make([]int32, n)
+		fallthrough
 	case RateAdaptFD:
-		f.fdp = make([]rateadapt.FullDuplex, n)
-	default:
-		i := spec.fixedIndex()
-		f.fixed = &rateadapt.Fixed{Index: i, RateName: spec.Rates[i].Name}
+		f.rateIdx = make([]int32, n)
+		f.goodRun = make([]int32, n)
 	}
-	f.initRate = int32(spec.newAdapter().Rate())
+	f.initRate = int32(f.policy.Rate())
 	return f
 }
 
-// initRow fills tag i's adaptation row: adapter configuration (the rest
-// of the adapter struct is already zero in the fresh slice) and the
-// fading stream, seeded by fadeSeed exactly as the per-tag fadingLoss
-// sources were, so the draw sequences are unchanged. scratch is the
-// calling worker's reusable Source.
+// initRow fills tag i's adaptation row: the fading stream, seeded by
+// fadeSeed exactly as the per-tag fadingLoss sources were, so the draw
+// sequences are unchanged. The adapter state columns start at zero,
+// which is a fresh adapter's state. scratch is the calling worker's
+// reusable Source.
 func (f *fadeState) initRow(i int, scratch *simrand.Source) {
-	switch {
-	case f.arf != nil:
-		f.arf[i].NumRates = f.nr
-		f.arf[i].UpAfter = f.upAfter
-		f.arf[i].DownAfter = f.downAfter
-	case f.fdp != nil:
-		f.fdp[i].NumRates = f.nr
-		f.fdp[i].UpAfter = f.upAfter
-	}
 	scratch.Reseed(fadeSeed(f.seed, i))
 	if f.rho > 0 {
 		h := scratch.RayleighCoeff(1)
@@ -263,19 +254,6 @@ func (f *fadeState) initRow(i int, scratch *simrand.Source) {
 	}
 	f.fadeHi[i], f.fadeLo[i] = scratch.State()
 	f.prevRate[i] = f.initRate
-}
-
-// adapter returns tag i's policy instance. Taking the address of a
-// slice element converts to the interface without allocating.
-func (f *fadeState) adapter(i int) rateadapt.Adapter {
-	switch {
-	case f.arf != nil:
-		return &f.arf[i]
-	case f.fdp != nil:
-		return &f.fdp[i]
-	default:
-		return f.fixed
-	}
 }
 
 // oracleRate is the highest rate whose requirement the instantaneous
@@ -314,10 +292,15 @@ type fadeView struct {
 	fadeSrc *simrand.Source
 	rates   []rateadapt.RateSpec
 	rho     float64
+	// adapter is the worker's policy instance, set once by init: &arf
+	// or &fdp (a copy of the shared configuration) with the bound tag's
+	// state loaded, or the shared stateless fixed policy.
+	adapter rateadapt.Adapter
+	arf     rateadapt.ARF
+	fdp     rateadapt.FullDuplex
 
 	// Bound-row cache, loaded by bind and written back by unbind.
 	i        int
-	adapter  rateadapt.Adapter
 	meanSNR  float64
 	fbBER    float64
 	h        complex128
@@ -344,6 +327,16 @@ func (v *fadeView) init(e *engine, iid *mac.IIDLoss) {
 	v.fadeSrc = simrand.New(0) //fdlint:stream-ok scratch; Reseed(fadeSeed(seed, i)) re-roots it per tag before use
 	v.rates = e.fade.rates
 	v.rho = e.fade.rho
+	switch a := e.fade.policy.(type) {
+	case *rateadapt.ARF:
+		v.arf = *a
+		v.adapter = &v.arf
+	case *rateadapt.FullDuplex:
+		v.fdp = *a
+		v.adapter = &v.fdp
+	default:
+		v.adapter = a
+	}
 }
 
 // bind loads tag i's row into the view's scratch.
@@ -355,7 +348,12 @@ func (v *fadeView) bind(i int) {
 	v.gainDB = f.gainDB[i]
 	v.meanSNR = f.meanSNR[i]
 	v.fbBER = v.t.fbBER[i]
-	v.adapter = f.adapter(i)
+	switch {
+	case f.badRun != nil:
+		v.arf.SetState(int(f.rateIdx[i]), int(f.goodRun[i]), int(f.badRun[i]))
+	case f.rateIdx != nil:
+		v.fdp.SetState(int(f.rateIdx[i]), int(f.goodRun[i]))
+	}
 	v.prevRate = int(f.prevRate[i])
 	v.extraP = 0
 }
@@ -367,6 +365,23 @@ func (v *fadeView) unbind() {
 	f.h[i] = v.h
 	f.gainDB[i] = v.gainDB
 	f.prevRate[i] = int32(v.prevRate)
+	switch {
+	case f.badRun != nil:
+		idx, good, bad := v.arf.State()
+		f.rateIdx[i], f.goodRun[i], f.badRun[i] = int32(idx), streak32(good), streak32(bad)
+	case f.rateIdx != nil:
+		idx, good := v.fdp.State()
+		f.rateIdx[i], f.goodRun[i] = int32(idx), streak32(good)
+	}
+}
+
+// streak32 narrows an adapter streak to its int32 column. A streak
+// only grows past its threshold while the rate is pinned at the table's
+// end, and from there only its comparison with the threshold is ever
+// read; validate caps the thresholds at MaxInt32, so saturating there
+// is exact.
+func streak32(n int) int32 {
+	return int32(min(n, math.MaxInt32))
 }
 
 // advance steps the fading process one chunk-time. With rho = 0 the

@@ -160,6 +160,9 @@ func TestRateAdaptValidation(t *testing.T) {
 		}), "non-decreasing"},
 		{"negative up_after", mk(func(s *Scenario) { s.RateAdapt.UpAfter = -2 }), "up_after"},
 		{"negative down_after", mk(func(s *Scenario) { s.RateAdapt.DownAfter = -1 }), "down_after"},
+		// The adapter streak columns are int32 (see streak32).
+		{"up_after past int32", mk(func(s *Scenario) { s.RateAdapt.UpAfter = pastInt32() }), "up_after"},
+		{"down_after past int32", mk(func(s *Scenario) { s.RateAdapt.DownAfter = pastInt32() }), "down_after"},
 	}
 	for _, c := range cases {
 		_, err := Run(c.sc, 1)
@@ -228,5 +231,29 @@ func TestRateAdaptDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same scenario + seed must reproduce identically under rate adaptation")
+	}
+}
+
+// pastInt32 is one more than MaxInt32 where int is wider (it wraps
+// negative on 32-bit platforms, which validate rejects too).
+func pastInt32() int {
+	n := math.MaxInt32
+	n++
+	return n
+}
+
+// Streak columns saturate at MaxInt32 rather than wrap: a streak that
+// passed its threshold must still read as past it.
+func TestStreak32Saturates(t *testing.T) {
+	for _, c := range []struct {
+		in   int
+		want int32
+	}{{0, 0}, {7, 7}, {math.MaxInt32, math.MaxInt32}, {pastInt32(), math.MaxInt32}} {
+		if c.in < 0 {
+			continue // 32-bit int: nothing lies past MaxInt32
+		}
+		if got := streak32(c.in); got != c.want {
+			t.Errorf("streak32(%d) = %d, want %d", c.in, got, c.want)
+		}
 	}
 }

@@ -317,7 +317,7 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("netsim: tag count %d unreasonably large", s.Tags)
 	}
 	if s.Tags*s.Readers.Count > 1<<23 {
-		return fmt.Errorf("netsim: %d tags x %d readers needs %d link-gain entries (cap %d)",
+		return fmt.Errorf("netsim: %d tags x %d readers needs %d path-loss evaluations per epoch (cap %d)",
 			s.Tags, s.Readers.Count, s.Tags*s.Readers.Count, 1<<23)
 	}
 	if s.OfferedLoad < 0 {

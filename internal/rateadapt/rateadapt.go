@@ -107,6 +107,20 @@ type ARF struct {
 	badStreak  int
 }
 
+// State returns the adapter's per-instance state: the rate index and
+// the consecutive clean and failed frame counts. NumRates, UpAfter and
+// DownAfter are configuration, so a population of adapters sharing one
+// configuration can store just this state per instance and run each one
+// through a single scratch ARF loaded with SetState.
+func (a *ARF) State() (idx, goodStreak, badStreak int) {
+	return a.idx, a.goodStreak, a.badStreak
+}
+
+// SetState loads a per-instance state saved by State.
+func (a *ARF) SetState(idx, goodStreak, badStreak int) {
+	a.idx, a.goodStreak, a.badStreak = idx, goodStreak, badStreak
+}
+
 // NewARF returns an ARF adapter over n rates starting at the lowest.
 func NewARF(n int) *ARF {
 	return &ARF{NumRates: n, UpAfter: 3, DownAfter: 1}
@@ -150,6 +164,14 @@ type FullDuplex struct {
 	idx        int
 	goodStreak int
 }
+
+// State returns the adapter's per-instance state: the rate index and
+// the consecutive ACK count (NumRates and UpAfter are configuration;
+// see ARF.State).
+func (a *FullDuplex) State() (idx, goodStreak int) { return a.idx, a.goodStreak }
+
+// SetState loads a per-instance state saved by State.
+func (a *FullDuplex) SetState(idx, goodStreak int) { a.idx, a.goodStreak = idx, goodStreak }
 
 // NewFullDuplex returns the per-chunk adapter starting at the lowest
 // rate.

@@ -3,6 +3,8 @@ package rateadapt
 import (
 	"math"
 	"testing"
+
+	"repro/internal/simrand"
 )
 
 func TestChunkLossProbShape(t *testing.T) {
@@ -194,5 +196,66 @@ func TestFeedbackBERDegradesFD(t *testing.T) {
 	if b.ThroughputBytesPerTime() >= a.ThroughputBytesPerTime() {
 		t.Fatalf("20%% feedback BER should hurt: %g vs %g",
 			b.ThroughputBytesPerTime(), a.ThroughputBytesPerTime())
+	}
+}
+
+// A population sharing one adapter configuration can keep only State
+// per instance and run through one scratch adapter; replaying random
+// feedback both ways must agree with whole-struct adapters on every
+// rate decision and every state word.
+func TestAdapterStateReplayMatchesWholeStruct(t *testing.T) {
+	const n, steps = 6, 5000
+	src := simrand.New(9)
+	arfCfg := ARF{NumRates: 4, UpAfter: 3, DownAfter: 2}
+	fdCfg := FullDuplex{NumRates: 4, UpAfter: 5}
+	arfWhole := make([]ARF, n)
+	fdWhole := make([]FullDuplex, n)
+	type arfState struct{ idx, good, bad int }
+	type fdState struct{ idx, good int }
+	arfCols := make([]arfState, n)
+	fdCols := make([]fdState, n)
+	for i := 0; i < n; i++ {
+		arfWhole[i], fdWhole[i] = arfCfg, fdCfg
+	}
+	arf, fd := arfCfg, fdCfg
+	visited := map[int]bool{}
+	for k := 0; k < steps; k++ {
+		for i := 0; i < n; i++ {
+			// Per-instance success probability spread across the table
+			// so some instances pin the top rate and some the bottom.
+			ok := src.Bool(float64(i+1) / float64(n+1))
+			c := &arfCols[i]
+			arf.SetState(c.idx, c.good, c.bad)
+			arf.OnChunk(ok)
+			arf.OnFrame(ok)
+			arfWhole[i].OnChunk(ok)
+			arfWhole[i].OnFrame(ok)
+			if arf.Rate() != arfWhole[i].Rate() {
+				t.Fatalf("step %d arf %d: rate %d via state, %d whole", k, i, arf.Rate(), arfWhole[i].Rate())
+			}
+			c.idx, c.good, c.bad = arf.State()
+			if *c != (arfState{arfWhole[i].idx, arfWhole[i].goodStreak, arfWhole[i].badStreak}) {
+				t.Fatalf("step %d arf %d: state %+v diverged from whole struct %+v", k, i, *c, arfWhole[i])
+			}
+			visited[c.idx] = true
+
+			d := &fdCols[i]
+			fd.SetState(d.idx, d.good)
+			fd.OnChunk(ok)
+			fd.OnFrame(ok)
+			fdWhole[i].OnChunk(ok)
+			fdWhole[i].OnFrame(ok)
+			if fd.Rate() != fdWhole[i].Rate() {
+				t.Fatalf("step %d fd %d: rate %d via state, %d whole", k, i, fd.Rate(), fdWhole[i].Rate())
+			}
+			d.idx, d.good = fd.State()
+			if *d != (fdState{fdWhole[i].idx, fdWhole[i].goodStreak}) {
+				t.Fatalf("step %d fd %d: state %+v diverged from whole struct %+v", k, i, *d, fdWhole[i])
+			}
+			visited[d.idx] = true
+		}
+	}
+	if len(visited) != 4 {
+		t.Fatalf("replay visited rates %v: want every rate of the table", visited)
 	}
 }
