@@ -7,6 +7,7 @@ package netsvc
 // prove it survives concurrency.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -15,15 +16,57 @@ import (
 	"repro/internal/netsim"
 )
 
-// roundLine is one streamed round: the engine snapshot plus a resume
-// token that continues the stream from the NEXT round.
-type roundLine struct {
+// A round line is the engine snapshot plus a self-contained resume
+// token that continues the stream from the NEXT round:
+//
+//	{"type":"round",<RoundSnapshot fields>,"resume":"<token>"}
+//
+// POST /runs?resume=<token> streams the remaining rounds
+// byte-identically to this stream's tail. resume is always the last
+// key: roundEncoder marshals a roundHead and splices the token in
+// place of its closing brace.
+type roundHead struct {
 	Type string `json:"type"`
 	*netsim.RoundSnapshot
-	// Resume is a self-contained token: POST /runs?resume=<token>
-	// streams the remaining rounds byte-identically to this stream's
-	// tail.
-	Resume string `json:"resume"`
+}
+
+// roundEncoder renders one stream's round lines into a buffer reused
+// across rounds, minting each token from the stream's tokenMinter.
+// encoding/json escapes no character of the base64url alphabet, so
+// splicing the raw token yields the bytes json.Marshal would.
+type roundEncoder struct {
+	buf    bytes.Buffer
+	enc    *json.Encoder
+	head   roundHead
+	minter *tokenMinter
+}
+
+func newRoundEncoder(orig netsim.Scenario, seed uint64) *roundEncoder {
+	e := &roundEncoder{
+		head:   roundHead{Type: "round"},
+		minter: newTokenMinter(resumeToken{V: resumeTokenVersion, Scenario: orig, Seed: seed}),
+	}
+	e.enc = json.NewEncoder(&e.buf)
+	return e
+}
+
+// encode returns snap's round line without framing. The bytes are
+// valid until the next call.
+func (e *roundEncoder) encode(snap *netsim.RoundSnapshot) ([]byte, error) {
+	e.buf.Reset()
+	e.head.RoundSnapshot = snap
+	if err := e.enc.Encode(&e.head); err != nil {
+		return nil, err
+	}
+	// Encode closes the object with "}\n"; reopen it for the token.
+	// Past the cached head, the key, the token's ≤31-byte tail, `"}`
+	// and the caller's framing fit in 64 bytes.
+	e.buf.Truncate(e.buf.Len() - 2)
+	e.buf.Grow(len(e.minter.head) + 64)
+	b := append(e.buf.AvailableBuffer(), `,"resume":"`...)
+	b = e.minter.appendToken(b, snap.Round+1)
+	e.buf.Write(append(b, `"}`...))
+	return e.buf.Bytes(), nil
 }
 
 // resultLine closes every completed stream with the run's aggregates —
@@ -77,13 +120,19 @@ func newLineWriter(w io.Writer, sse bool) *lineWriter {
 	return lw
 }
 
-// writeLine emits one value. event names the SSE event type and is
-// ignored in NDJSON framing.
+// writeLine marshals and emits one value. event names the SSE event
+// type and is ignored in NDJSON framing.
 func (lw *lineWriter) writeLine(event string, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
+	return lw.writeRaw(event, b)
+}
+
+// writeRaw emits one marshaled JSON value, framing it into b's spare
+// capacity (so the caller's buffer must not be in use elsewhere).
+func (lw *lineWriter) writeRaw(event string, b []byte) error {
 	if lw.sse {
 		if _, err := lw.w.Write([]byte("event: " + event + "\ndata: ")); err != nil {
 			return err
@@ -105,16 +154,16 @@ func (lw *lineWriter) writeLine(event string, v any) error {
 // embedded in resume tokens so replaying one walks the exact same
 // defaulting path. progress (optional) observes each streamed round.
 func encodeStream(ctx context.Context, sc, orig netsim.Scenario, seed uint64, opts netsim.StreamOptions, lw *lineWriter, progress func(round int)) (*netsim.NetResult, error) {
-	line := roundLine{Type: "round"}
+	rounds := newRoundEncoder(orig, seed)
 	res, err := netsim.RunStreamOptions(ctx, sc, seed, opts, func(snap *netsim.RoundSnapshot) error {
-		line.RoundSnapshot = snap
-		line.Resume = encodeResumeToken(resumeToken{
-			V: resumeTokenVersion, Scenario: orig, Seed: seed, Round: snap.Round + 1,
-		})
+		line, err := rounds.encode(snap)
+		if err != nil {
+			return err
+		}
 		if progress != nil {
 			progress(snap.Round)
 		}
-		return lw.writeLine("round", &line)
+		return lw.writeRaw("round", line)
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -519,5 +520,55 @@ func TestSeedParsing(t *testing.T) {
 	resp.Body.Close()
 	if !bytes.Contains(body, []byte(fmt.Sprintf(`"seed":%d`, 1234))) {
 		t.Error("result line does not echo the requested seed")
+	}
+}
+
+// TestBadResumeTokenRejected: a resume token is decoded as strictly as
+// a scenario body — unknown fields at any level and trailing data get
+// the same 400 a POSTed body would, as do bad versions and rounds.
+func TestBadResumeTokenRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(token string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/runs?resume="+token, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body)
+	}
+	tok := func(js string) string { return base64.RawURLEncoding.EncodeToString([]byte(js)) }
+
+	// The hand-built tokens below differ from this valid one in one way.
+	if code, body := post(tok(`{"v":1,"scenario":{"tags":8},"seed":1,"round":2}`)); code != http.StatusOK {
+		t.Fatalf("valid hand-built token: status %d; body %s", code, body)
+	}
+	for _, tc := range []struct {
+		name, token, wantErr string
+	}{
+		{"unknown scenario field", tok(`{"v":1,"scenario":{"tags":8,"bogus_field":3},"seed":1,"round":2}`), "bogus_field"},
+		{"unknown nested field", tok(`{"v":1,"scenario":{"tags":8,"readers":{"count":1,"bogus_knob":1}},"seed":1,"round":2}`), "bogus_knob"},
+		{"unknown top-level key", tok(`{"v":1,"scenario":{"tags":8},"seed":1,"round":2,"extra":true}`), "extra"},
+		{"trailing object", tok(`{"v":1,"scenario":{"tags":8},"seed":1,"round":2}{}`), "trailing"},
+		{"trailing garbage", tok(`{"v":1,"scenario":{"tags":8},"seed":1,"round":2} x`), "trailing"},
+		{"wrong version", tok(`{"v":2,"scenario":{"tags":8},"seed":1,"round":2}`), "version"},
+		{"round zero", tok(`{"v":1,"scenario":{"tags":8},"seed":1,"round":0}`), "round"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			code, body := post(tc.token)
+			if code != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400; body %s", code, body)
+			}
+			var e struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal([]byte(body), &e); err != nil {
+				t.Fatalf("400 body is not JSON: %s", body)
+			}
+			if !strings.Contains(e.Error, tc.wantErr) {
+				t.Errorf("error %q does not mention %q", e.Error, tc.wantErr)
+			}
+		})
 	}
 }
