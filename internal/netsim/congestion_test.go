@@ -2,11 +2,12 @@ package netsim
 
 // Property tests for the closed-loop congestion controller, the reader
 // scheduling policies and the fault-injection layer: invariants checked
-// through the engine's round probe across scenarios and seeds, plus the
+// through a probe observer across scenarios and seeds, plus the
 // worker-count reflection the determinism contract demands.
 
 import (
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -42,82 +43,140 @@ func congScenarios() []Scenario {
 func TestCongestionWindowBounds(t *testing.T) {
 	for si, sc := range congScenarios() {
 		for seed := uint64(1); seed <= 3; seed++ {
-			var probeErr error
-			probe := func(round int, dt float64, st roundState) {
-				if probeErr != nil || st.cong == nil {
-					return
-				}
-				c := st.cong
+			_, err := runProbed(sc, seed, func(e *engine, round int) error {
+				c := e.cong
 				for i := range c.cwnd {
 					if c.cwnd[i] < 1 || c.cwnd[i] > c.queueCap {
-						probeErr = fmt.Errorf("round %d tag %d: cwnd %g outside [1, %g]", round, i, c.cwnd[i], c.queueCap)
-						return
+						return fmt.Errorf("round %d tag %d: cwnd %g outside [1, %g]", round, i, c.cwnd[i], c.queueCap)
 					}
 					if c.rto[i] < c.rtoMin || c.rto[i] > c.rtoMax {
-						probeErr = fmt.Errorf("round %d tag %d: rto %g outside [%g, %g]", round, i, c.rto[i], c.rtoMin, c.rtoMax)
-						return
+						return fmt.Errorf("round %d tag %d: rto %g outside [%g, %g]", round, i, c.rto[i], c.rtoMin, c.rtoMax)
 					}
 					if c.backoff[i] > c.maxBackoff {
-						probeErr = fmt.Errorf("round %d tag %d: backoff %d beyond cap %d", round, i, c.backoff[i], c.maxBackoff)
-						return
+						return fmt.Errorf("round %d tag %d: backoff %d beyond cap %d", round, i, c.backoff[i], c.maxBackoff)
 					}
 					if c.retxQ[i] < 0 || c.retxQ[i] > c.retxCap {
-						probeErr = fmt.Errorf("round %d tag %d: retx queue %d outside [0, %d]", round, i, c.retxQ[i], c.retxCap)
-						return
+						return fmt.Errorf("round %d tag %d: retx queue %d outside [0, %d]", round, i, c.retxQ[i], c.retxCap)
 					}
 				}
-			}
-			if _, err := run(sc, seed, 1, probe, nil); err != nil {
+				return nil
+			})
+			if err != nil {
 				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
-			}
-			if probeErr != nil {
-				t.Fatalf("scenario %d seed %d: %v", si, seed, probeErr)
 			}
 		}
 	}
 }
 
-// TestCongestionConservation checks that the retransmission machinery
-// never double-delivers or leaks a frame: at every round's settlement,
-// each tag's offered frames are exactly the delivered plus dropped plus
-// the transmit-queue and retx-queue residents.
+// conservationCase is one TestCongestionConservation input: a scenario,
+// the seeds it runs at, and whether it is a single-tag run that must
+// never collide.
+type conservationCase struct {
+	name   string
+	sc     Scenario
+	seeds  uint64
+	single bool
+}
+
+// conservationCases spans the engine: the property and congestion
+// scenarios, every preset (million at 2^12 tags), every shipped example
+// scenario, a fault mix of churn, scheduled and stochastic outages and
+// interference without congestion control, and every preset forced to
+// a single tag.
+func conservationCases(t *testing.T) []conservationCase {
+	t.Helper()
+	var out []conservationCase
+	for i, sc := range propScenarios() {
+		out = append(out, conservationCase{name: fmt.Sprintf("prop-%d", i), sc: sc, seeds: 3})
+	}
+	for i, sc := range congScenarios() {
+		out = append(out, conservationCase{name: fmt.Sprintf("cong-%d", i), sc: sc, seeds: 3})
+	}
+	for _, name := range PresetNames() {
+		sc, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "million" {
+			sc.Tags = 1 << 12
+		}
+		out = append(out, conservationCase{name: name, sc: sc, seeds: 3})
+		sc.Tags = 1
+		out = append(out, conservationCase{name: name + "-single", sc: sc, seeds: 5, single: true})
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no example scenarios found (%v)", err)
+	}
+	for _, p := range paths {
+		sc, err := LoadScenario(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, conservationCase{name: filepath.Base(p), sc: sc, seeds: 3})
+	}
+	out = append(out, conservationCase{name: "fault-mix", seeds: 3, sc: Scenario{
+		Tags: 24, Topology: TopologyCells, RadiusM: 10, ClusterSpreadM: 2,
+		OfferedLoad: 0.7, MaxRounds: 120, QueueCap: 10, CapacitanceF: 47e-6,
+		Readers: ReaderSpec{Count: 3, Placement: ReaderLine, SpacingM: 8},
+		Faults: FaultSpec{
+			Events: []FaultEvent{
+				{Round: 10, Kind: FaultReaderOutage, Reader: 1, Rounds: 30},
+				{Round: 20, Kind: FaultInterference, Reader: 0, Rounds: 15, LossProb: 0.6},
+			},
+			OutageRate: 0.01, InterferenceRate: 0.03, ChurnRate: 0.02,
+		},
+	}})
+	return out
+}
+
+// TestCongestionConservation checks that no layer of the engine — the
+// retransmission machinery, churn flushes, deadline drops, outages —
+// double-delivers or leaks a frame: at every round's settlement, each
+// tag's offered frames are exactly the delivered plus dropped plus the
+// transmit-queue and retx-queue residents. At the end the run totals
+// obey the same conservation (residuals through the per-reader
+// QueueDepth), the per-reader delivered frames and busy slots sum to
+// the run totals, and a lone tag never collides.
 func TestCongestionConservation(t *testing.T) {
-	for si, sc := range congScenarios() {
-		for seed := uint64(1); seed <= 3; seed++ {
-			var probeErr error
-			probe := func(round int, dt float64, st roundState) {
-				if probeErr != nil {
-					return
-				}
-				for i := range st.stats {
-					ts := &st.stats[i]
-					held := int(st.queue[i])
-					if st.cong != nil {
-						held += int(st.cong.retxQ[i])
+	for _, cc := range conservationCases(t) {
+		for seed := uint64(1); seed <= cc.seeds; seed++ {
+			res, err := runProbed(cc.sc, seed, func(e *engine, round int) error {
+				tg := &e.tags
+				for i := range tg.stats {
+					ts := &tg.stats[i]
+					held := int(tg.queue[i])
+					if e.cong != nil {
+						held += int(e.cong.retxQ[i])
 					}
 					if ts.FramesOffered != ts.FramesDelivered+ts.FramesDropped+held {
-						probeErr = fmt.Errorf("round %d tag %d: offered %d != delivered %d + dropped %d + held %d",
+						return fmt.Errorf("round %d tag %d: offered %d != delivered %d + dropped %d + held %d",
 							round, i, ts.FramesOffered, ts.FramesDelivered, ts.FramesDropped, held)
-						return
 					}
 				}
-			}
-			res, err := run(sc, seed, 1, probe, nil)
+				return nil
+			})
 			if err != nil {
-				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
+				t.Fatalf("%s seed %d: %v", cc.name, seed, err)
 			}
-			if probeErr != nil {
-				t.Fatalf("scenario %d seed %d: %v", si, seed, probeErr)
-			}
-			// The same conservation holds for the run totals, with the
-			// final residuals reported through the per-reader QueueDepth.
-			var held int64
+			var held, delivered, busy int64
 			for _, rs := range res.Readers {
 				held += rs.QueueDepth
+				delivered += int64(rs.FramesDelivered)
+				busy += rs.SingletonSlots + rs.CollisionSlots
 			}
 			if res.FramesOffered != res.FramesDelivered+res.FramesDropped+held {
-				t.Fatalf("scenario %d seed %d: totals offered %d != delivered %d + dropped %d + held %d",
-					si, seed, res.FramesOffered, res.FramesDelivered, res.FramesDropped, held)
+				t.Fatalf("%s seed %d: totals offered %d != delivered %d + dropped %d + held %d",
+					cc.name, seed, res.FramesOffered, res.FramesDelivered, res.FramesDropped, held)
+			}
+			if delivered != res.FramesDelivered {
+				t.Fatalf("%s seed %d: per-reader delivered sums to %d, run total %d", cc.name, seed, delivered, res.FramesDelivered)
+			}
+			if want := res.SingletonSlots + res.CollisionSlots; busy != want {
+				t.Fatalf("%s seed %d: per-reader busy slots sum to %d, run total %d", cc.name, seed, busy, want)
+			}
+			if cc.single && res.CollisionSlots != 0 {
+				t.Fatalf("%s seed %d: a lone tag collided in %d slots", cc.name, seed, res.CollisionSlots)
 			}
 		}
 	}
@@ -135,26 +194,19 @@ func TestRTOFloorUnderZeroVariance(t *testing.T) {
 		Congestion: CongestionSpec{Controller: CongestionCubic},
 	}
 	var sawSample bool
-	var probeErr error
-	probe := func(round int, dt float64, st roundState) {
-		if probeErr != nil || st.cong == nil {
-			return
-		}
-		c := st.cong
+	res, err := runProbed(sc, 3, func(e *engine, round int) error {
+		c := e.cong
 		if c.srtt[0] > 0 {
 			sawSample = true
 			if c.rto[0] < c.rtoMin {
-				probeErr = fmt.Errorf("round %d: rto %g collapsed below floor %g (srtt %g, rttvar %g)",
+				return fmt.Errorf("round %d: rto %g collapsed below floor %g (srtt %g, rttvar %g)",
 					round, c.rto[0], c.rtoMin, c.srtt[0], c.rttvar[0])
 			}
 		}
-	}
-	res, err := run(sc, 3, 1, probe, nil)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if probeErr != nil {
-		t.Fatal(probeErr)
 	}
 	if !sawSample {
 		t.Fatal("the lone tag never took an RTT sample; the floor was not exercised")

@@ -53,6 +53,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -329,23 +330,23 @@ func (r *NetResult) FairnessIndex() float64 {
 	return sum * sum / (n * sumSq)
 }
 
-// roundState is the engine state a roundProbe observes: struct-of-array
-// views over the live per-tag columns, valid only for the duration of
-// the probe call and read-only for the probe.
-type roundState struct {
-	txCount  []int32   // frames transmitted this round (pre-reset)
-	txDt     []float64 // seconds spent transmitting this round (pre-reset)
-	alive    []bool
-	harvestW []float64 // effective harvest power settled this round
-	queue    []int32   // frames awaiting delivery after this round
-	stats    []TagStats
-	cong     *congState // live congestion columns (nil when disabled)
+// roundObserver watches a run: init once after setup, observe once per
+// round after energy settlement, before the round's transmit columns
+// (txCount, txDt) reset. Observers draw no randomness and change
+// nothing the run computes from, so an observed run computes exactly
+// what an unobserved one does; an observe error aborts the run and is
+// returned unchanged. The streamer behind RunStream is one; the
+// property tests' probes are another.
+type roundObserver interface {
+	init(e *engine)
+	observe(e *engine, res *NetResult, round int) error
 }
 
-// roundProbe observes the engine at each round's energy settlement:
-// the round index, the settled wall-clock dt, and the SoA state views.
-// Test-only hook; production runs pass nil.
-type roundProbe func(round int, dt float64, st roundState)
+// nopObserver is the batch runs' observer: it watches nothing.
+type nopObserver struct{}
+
+func (nopObserver) init(*engine)                           {}
+func (nopObserver) observe(*engine, *NetResult, int) error { return nil }
 
 // engine holds one run's state: the tag arrays plus every piece of
 // scratch the round loop reuses, so steady-state rounds allocate
@@ -378,6 +379,7 @@ type engine struct {
 	tagsByReader []int32
 	readerOff    []int32
 	readerFill   []int32 // rebuild cursor scratch
+	backlog      []int64 // per-reader queued + retx-parked frames at the last census
 	// couplingW is the linear inter-channel leakage factor under
 	// independent scheduling (0 under TDM).
 	couplingW float64
@@ -388,7 +390,7 @@ type engine struct {
 	params mac.Params
 
 	// Round-loop scratch. harvest records each tag's settled harvest
-	// power for the roundProbe; nil in production runs.
+	// power when a test observer allocates it; nil in production runs.
 	slotChoice []int32
 	harvest    []float64
 
@@ -405,24 +407,23 @@ type engine struct {
 	cellAcc        []cellAcc
 	activeReader   int // <0: every reader is active
 	// curRound is the 0-based round the parallel phases are executing;
-	// written serially between phases.
+	// written serially between phases. settleDt is its duration and
+	// settleNow the simulated time at its end (at the drain, the run's
+	// horizon).
 	curRound  int
 	settleDt  float64
 	settleNow float64
-	// res is set for the drain phase only (LifetimeS needs SimulatedS);
-	// nil during rounds.
-	res *NetResult
 }
 
 // Run executes the scenario deterministically under the given seed.
-func Run(sc Scenario, seed uint64) (*NetResult, error) { return run(sc, seed, 1, nil, nil) }
+func Run(sc Scenario, seed uint64) (*NetResult, error) { return RunParallel(sc, seed, 1) }
 
 // RunParallel executes the scenario across the given number of engine
 // workers (<= 0 selects one per CPU). The result is byte-identical to
 // Run: sharding only changes which goroutine executes each reader cell
 // and tag range, never what they compute or which stream they draw.
 func RunParallel(sc Scenario, seed uint64, workers int) (*NetResult, error) {
-	return run(sc, seed, workers, nil, nil)
+	return run(context.Background(), sc, seed, workers, nil)
 }
 
 // ResolveWorkers maps the CLI convention (<= 0 means one worker per
@@ -434,12 +435,13 @@ func ResolveWorkers(n int) int {
 	return n
 }
 
-func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) (*NetResult, error) {
+// run is the round loop behind every entry point. obs (nil for none)
+// sees each settled round; ctx is checked between rounds.
+func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundObserver) (*NetResult, error) {
 	sc.ApplyDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	workers = ResolveWorkers(workers)
 	// One random tree, split in fixed order; every source below is
 	// always split even when unused (a static run still splits the
 	// mobility source) so the per-tag streams never depend on which
@@ -449,7 +451,73 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	trafficSrc := root.Split()  //fdlint:serial
 	slotSrc := root.Split()     //fdlint:serial
 	mobilitySrc := root.Split() //fdlint:serial
+	// The fault stream is hashed off the run seed (the fadeSeed
+	// pattern), not split from the tree: enabling faults must not shift
+	// any stream the fault-free engine draws. It stays serial — every
+	// transition happens between rounds on this goroutine.
+	faultSrc := simrand.New(faultSeed(seed)) //fdlint:serial
 
+	e, err := newEngine(sc, seed, ResolveWorkers(workers), root, placeSrc)
+	if err != nil {
+		return nil, err
+	}
+	defer e.pool.stop()
+	var walk *waypointWalk
+	if sc.Mobility.enabled() {
+		walk = newWaypointWalk(sc.Tags, sc.RadiusM, sc.Mobility.StepM, mobilitySrc)
+	}
+	if obs == nil {
+		obs = nopObserver{}
+	}
+	obs.init(e)
+
+	res := &NetResult{Scenario: sc, Seed: seed}
+	// A closed-loop run is done once every live queue drained at the end
+	// of the previous round; the settlement phase maintains the flag.
+	anyQueued := true
+	for round := 0; round < sc.MaxRounds; round++ {
+		// A cancelled run (client disconnect, service shutdown) stops
+		// here; the deferred pool stop tears the engine down.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if sc.OfferedLoad == 0 && !anyQueued {
+			// Check before counting the round so Rounds reports only
+			// rounds that actually opened a window.
+			break
+		}
+		res.Rounds = round + 1
+		e.curRound = round
+		e.openRound(walk, faultSrc)
+		e.arrive(trafficSrc)
+		if e.sched != nil && e.sched.policy == PolicyDeadline {
+			e.dropDeadlines(round)
+		}
+		if e.cong != nil {
+			// Congestion pass (parallel over tag shards): RTO expiry,
+			// retx re-admission, and the pacing gate set each tag's
+			// contention eligibility for this round.
+			e.pool.dispatch(phaseCong)
+		}
+		// Slot draws stay serial in cell order (windows never touch
+		// slotSrc); the windows then run in parallel, one per cell.
+		e.drawSlots(slotSrc)
+		e.pool.dispatch(phaseWindows)
+		anyQueued = e.settle(res, e.reduceWindows(res))
+		if err := obs.observe(e, res, round); err != nil {
+			return nil, err
+		}
+		clear(e.tags.txCount)
+		clear(e.tags.txDt)
+	}
+	e.drain(res)
+	return res, nil
+}
+
+// newEngine builds a run's engine from a defaulted, validated scenario,
+// placing tags from placeSrc and seeding them from root, and returns it
+// with its worker pool started (the caller stops it) and links derived.
+func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.Source) (*engine, error) {
 	readers := PlaceReaders(sc.Readers)
 	positions, err := PlaceTags(sc.Topology, sc.Tags, sc.RadiusM, sc.Clusters, sc.ClusterSpreadM, readers, placeSrc)
 	if err != nil {
@@ -490,6 +558,7 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		tagsByReader:   make([]int32, sc.Tags),
 		readerOff:      make([]int32, R+1),
 		readerFill:     make([]int32, R),
+		backlog:        make([]int64, R),
 		tdm:            sc.Readers.Scheduling == SchedulingTDM,
 		analytic:       sc.Analytic,
 		params:         params,
@@ -506,9 +575,6 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 		e.gains = make([]float64, sc.Tags*R)
 	} else {
 		e.couplingW = math.Pow(10, -sc.Readers.IsolationdB/10)
-	}
-	if probe != nil {
-		e.harvest = make([]float64, sc.Tags)
 	}
 	e.budget = energy.Budget{
 		Harvester: energy.Harvester{Efficiency: sc.HarvesterEff, SensitivityW: sc.HarvesterFloorW},
@@ -542,239 +608,204 @@ func run(sc Scenario, seed uint64, workers int, probe roundProbe, st *streamer) 
 	if sc.Readers.Policy != PolicyAloha {
 		e.sched = newSchedState(sc.Readers, sc.Tags)
 	}
-	// The fault stream is hashed off the run seed (the fadeSeed
-	// pattern), not split from the tree: enabling faults must not shift
-	// any stream the fault-free engine draws. It stays serial — every
-	// transition happens between rounds on this goroutine.
-	var faultSrc *simrand.Source
 	if sc.Faults.enabled() {
 		e.flt = newFaultState(sc.Faults, sc.Tags, R)
-		faultSrc = simrand.New(faultSeed(seed)) //fdlint:serial
 	}
 	e.pool.start(e, workers)
-	defer e.pool.stop()
 	e.pool.dispatch(phaseInit)
 	e.deriveLinks()
+	return e, nil
+}
 
-	var walk *waypointWalk
-	if sc.Mobility.enabled() {
-		walk = newWaypointWalk(sc.Tags, sc.RadiusM, sc.Mobility.StepM, mobilitySrc)
-	}
-
-	res := &NetResult{Scenario: sc, Seed: seed}
-	epochLen := sc.Mobility.EpochRounds
-	// A closed-loop run is done once every live queue drained at the end
-	// of the previous round; the settlement phase maintains the flag.
-	anyQueued := true
-	if st != nil {
-		st.init(e)
-	}
-
-	for round := 0; round < sc.MaxRounds; round++ {
-		if st != nil {
-			// Streaming runs are cancellable between rounds: a client
-			// disconnect (or service shutdown) aborts here, before any
-			// further work, and the engine tears down cleanly through
-			// the deferred pool stop.
-			if err := st.ctx.Err(); err != nil {
-				return nil, err
-			}
+// openRound runs the serial transitions before a round's contention:
+// at an epoch boundary the mobility walk advances (links re-derive) and
+// TDM hands the carrier on; fault transitions follow (re-association
+// around outages, churn flushes, the per-cell interference view); then
+// the list of cells the round opens is rebuilt.
+//
+//fdlint:noalloc
+func (e *engine) openRound(walk *waypointWalk, faultSrc *simrand.Source) {
+	round, epochLen := e.curRound, e.sc.Mobility.EpochRounds
+	if round%epochLen == 0 {
+		if walk != nil && round > 0 {
+			walk.advance(e.tags.pos)
+			e.deriveLinks()
 		}
-		if sc.OfferedLoad == 0 && !anyQueued {
-			// Check before counting the round so Rounds reports only
-			// rounds that actually opened a window.
-			break
-		}
-		res.Rounds = round + 1
-		e.curRound = round
-		if round%epochLen == 0 {
-			if walk != nil && round > 0 {
-				walk.advance(t.pos)
-				e.deriveLinks()
-			}
-			if e.tdm {
-				e.activeReader = (round / epochLen) % R
-			}
-		}
-		if e.flt != nil {
-			// Fault transitions happen serially before the round opens:
-			// recoveries and outages may re-derive links (tags
-			// re-associate to the strongest surviving carrier), churned
-			// tags flush their backlog, and the per-cell interference
-			// view refreshes.
-			e.flt.step(e, round, faultSrc)
-		}
-		e.buildActiveCells()
-
-		// Open-loop arrivals. Policy: the Poisson draw happens for every
-		// tag, dead or alive, so one tag's death never shifts the arrival
-		// stream the others see; a dead tag's frames are simply not
-		// offered — it can neither queue nor deliver them, and counting
-		// them would deflate DeliveryRate with traffic that never existed
-		// for the MAC.
-		if sc.OfferedLoad > 0 {
-			for i := 0; i < sc.Tags; i++ {
-				k := trafficSrc.Poisson(sc.OfferedLoad)
-				if !t.alive[i] {
-					continue
-				}
-				if e.flt != nil && e.flt.dormant[i] {
-					// A churned-away tag generates no traffic while gone
-					// (the draw above still happened, so its return never
-					// shifts the arrival stream the others see).
-					continue
-				}
-				t.stats[i].FramesOffered += k
-				free := int32(sc.QueueCap) - t.queue[i]
-				if free < 0 {
-					// A retx re-admission can push the queue one past the
-					// cap transiently; never let arrivals "fill" a
-					// negative gap.
-					free = 0
-				}
-				if int32(k) > free {
-					t.stats[i].FramesDropped += k - int(free)
-					k = int(free)
-				}
-				if s := e.sched; s != nil && t.queue[i] == 0 && k > 0 {
-					s.backlogSince[i] = int32(round)
-				}
-				t.queue[i] += int32(k)
-			}
-		}
-
-		if e.sched != nil && e.sched.policy == PolicyDeadline {
-			e.dropDeadlines(round)
-		}
-		if e.cong != nil {
-			// Congestion pass (parallel over tag shards): RTO expiry,
-			// retx re-admission, and the pacing gate set each tag's
-			// contention eligibility for this round.
-			e.pool.dispatch(phaseCong)
-		}
-
-		// Phase A (serial): slot draws, cell by cell in reader order —
-		// exactly the stream order the serial engine consumed, since
-		// window execution never touches slotSrc.
-		e.drawSlots(slotSrc)
-
-		// Phase B (parallel): one contention window per active cell.
-		// Independent channels run concurrently, so the wall clock
-		// advances by the longest window; under TDM only one reader
-		// transmits. Cells shard across workers; each cell touches only
-		// its own tags and per-cell accumulator.
-		e.pool.dispatch(phaseWindows)
-		var roundBytes int64
-		for ci := range e.activeCells {
-			acc := &e.cellAcc[ci]
-			if acc.windowBytes > roundBytes {
-				roundBytes = acc.windowBytes
-			}
-			res.IdleSlots += acc.idleSlots
-			res.SingletonSlots += acc.singletonSlots
-			res.CollisionSlots += acc.collisionSlots
-			res.CollisionBytes += acc.collisionBytes
-			res.GoodputBytes += acc.goodputBytes
-			// Hotspot bookkeeping (serial, cell order): a cell whose
-			// window occupancy first crosses satOnsetFrac marks its
-			// saturation onset; the first later round back at or below
-			// satRecoveryFrac marks recovery.
-			rs := &e.rstats[e.activeCells[ci]]
-			occ := float64(acc.singletonSlots+acc.collisionSlots) / float64(sc.ContentionWindow)
-			switch {
-			case rs.SaturationOnset == 0:
-				if occ >= satOnsetFrac {
-					rs.SaturationOnset = round + 1
-				}
-			case rs.RecoveryRound == 0:
-				if occ <= satRecoveryFrac {
-					rs.RecoveryRound = round + 1
-				}
-			}
-		}
-
-		// Phase C (parallel): settle every tag's energy budget over the
-		// round in one step — the idle draw plus, for transmitters, the
-		// per-frame transmit energy spread over the round, harvesting the
-		// incident carriers reduced by the rho/2 Manchester-duty
-		// reflection loss during their transmit time. Under TDM a tag
-		// harvests only the single active carrier from wherever it
-		// stands; under independent scheduling every carrier contributes.
-		res.ElapsedBytes += roundBytes
-		e.settleDt = float64(roundBytes) * e.secondsPerByte
-		e.settleNow = float64(res.ElapsedBytes) * e.secondsPerByte
-		e.pool.anyQueued.Store(false)
-		e.pool.dispatch(phaseSettle)
-		e.budgetT += e.settleDt
-		anyQueued = e.pool.anyQueued.Load()
-
-		if probe != nil {
-			probe(round, e.settleDt, roundState{
-				txCount: t.txCount, txDt: t.txDt, alive: t.alive, harvestW: e.harvest,
-				queue: t.queue, stats: t.stats, cong: e.cong,
-			})
-		}
-		clear(t.txCount)
-		clear(t.txDt)
-
-		if st != nil {
-			// Observation only: the snapshot reads settled state and
-			// consumes no randomness, so streaming never perturbs the
-			// batch byte-identity contract. A sink error (the client
-			// hung up mid-write) aborts exactly like a cancellation.
-			if err := st.observe(e, res, round); err != nil {
-				return nil, err
-			}
+		if e.tdm {
+			e.activeReader = (round / epochLen) % len(e.readers)
 		}
 	}
+	if e.flt != nil {
+		e.flt.step(e, round, faultSrc)
+	}
+	e.activeCells = e.activeCells[:0]
+	for r := range e.readers {
+		// An outaged reader opens no window; its tags either
+		// re-associated at the outage edge or (when every reader is
+		// down) wait it out.
+		if (e.activeReader < 0 || r == e.activeReader) && (e.flt == nil || !e.flt.down[r]) {
+			e.activeCells = append(e.activeCells, int32(r))
+		}
+	}
+}
 
-	res.SimulatedS = float64(res.ElapsedBytes) * e.secondsPerByte
-	// Drain phase (parallel): per-tag finalisation writes stats in
-	// place; the engine is discarded after the run, so the result owns
-	// the stats array without a copy.
-	e.res = res
-	e.pool.dispatch(phaseDrain)
-	res.Tags = t.stats
-	// Scalar aggregation stays serial in tag order: the integer sums are
-	// order-independent but adaptInvMult is a float accumulation whose
-	// value depends on order — it must match the serial engine exactly.
+// arrive draws the round's open-loop arrivals. Policy: the Poisson draw
+// happens for every tag, dead or alive, so one tag's death never shifts
+// the arrival stream the others see; a dead tag's frames are simply not
+// offered — it can neither queue nor deliver them, and counting them
+// would deflate DeliveryRate with traffic that never existed for the
+// MAC.
+//
+//fdlint:noalloc
+func (e *engine) arrive(trafficSrc *simrand.Source) {
+	sc := &e.sc
+	if sc.OfferedLoad <= 0 {
+		return
+	}
+	t := &e.tags
 	for i := 0; i < sc.Tags; i++ {
+		k := trafficSrc.Poisson(sc.OfferedLoad)
+		if !t.alive[i] {
+			continue
+		}
+		if e.flt != nil && e.flt.dormant[i] {
+			// A churned-away tag generates no traffic while gone (the
+			// draw above still happened, so its return never shifts the
+			// arrival stream the others see).
+			continue
+		}
+		t.stats[i].FramesOffered += k
+		free := int32(sc.QueueCap) - t.queue[i]
+		if free < 0 {
+			// A retx re-admission can push the queue one past the cap
+			// transiently; never let arrivals "fill" a negative gap.
+			free = 0
+		}
+		if int32(k) > free {
+			t.stats[i].FramesDropped += k - int(free)
+			k = int(free)
+		}
+		if s := e.sched; s != nil && t.queue[i] == 0 && k > 0 {
+			s.backlogSince[i] = int32(e.curRound)
+		}
+		t.queue[i] += int32(k)
+	}
+}
+
+// reduceWindows folds the round's cell outcomes into res in cell order
+// and returns the round's byte-time: independent channels run
+// concurrently, so the clock advances by the longest window. Hotspot
+// bookkeeping rides along: a cell whose occupancy first reaches
+// satOnsetFrac marks its saturation onset, and the first later round
+// back at or below satRecoveryFrac marks recovery.
+//
+//fdlint:noalloc
+func (e *engine) reduceWindows(res *NetResult) int64 {
+	var roundBytes int64
+	for ci := range e.activeCells {
+		acc := &e.cellAcc[ci]
+		if acc.windowBytes > roundBytes {
+			roundBytes = acc.windowBytes
+		}
+		res.IdleSlots += acc.idleSlots
+		res.SingletonSlots += acc.singletonSlots
+		res.CollisionSlots += acc.collisionSlots
+		res.CollisionBytes += acc.collisionBytes
+		res.GoodputBytes += acc.goodputBytes
+		rs := &e.rstats[e.activeCells[ci]]
+		occ := float64(acc.singletonSlots+acc.collisionSlots) / float64(e.sc.ContentionWindow)
+		switch {
+		case rs.SaturationOnset == 0:
+			if occ >= satOnsetFrac {
+				rs.SaturationOnset = e.curRound + 1
+			}
+		case rs.RecoveryRound == 0:
+			if occ <= satRecoveryFrac {
+				rs.RecoveryRound = e.curRound + 1
+			}
+		}
+	}
+	return roundBytes
+}
+
+// settle advances the clock by the round's byte-time and settles every
+// tag's energy budget over it in one step (parallel over tag shards;
+// see settleShard). It reports whether some live tag still holds work.
+//
+//fdlint:noalloc
+func (e *engine) settle(res *NetResult, roundBytes int64) bool {
+	res.ElapsedBytes += roundBytes
+	e.settleDt = float64(roundBytes) * e.secondsPerByte
+	e.settleNow = float64(res.ElapsedBytes) * e.secondsPerByte
+	e.pool.anyQueued.Store(false)
+	e.pool.dispatch(phaseSettle)
+	e.budgetT += e.settleDt
+	return e.pool.anyQueued.Load()
+}
+
+// census walks every tag once: it sums the frame counters, counts the
+// live tags, and rebuilds e.backlog by current association. The sums
+// are integers, so order does not matter.
+//
+//fdlint:noalloc
+func (e *engine) census() (offered, delivered, dropped int64, alive int) {
+	t := &e.tags
+	clear(e.backlog)
+	for i := range t.stats {
 		ts := &t.stats[i]
-		if e.fade != nil {
-			f := e.fade
+		offered += int64(ts.FramesOffered)
+		delivered += int64(ts.FramesDelivered)
+		dropped += int64(ts.FramesDropped)
+		if t.alive[i] {
+			alive++
+		}
+		q := int64(t.queue[i])
+		if e.cong != nil {
+			q += int64(e.cong.retxQ[i])
+		}
+		e.backlog[t.reader[i]] += q
+	}
+	return offered, delivered, dropped, alive
+}
+
+// drain finalises the run into res. The per-tag finalisation writes
+// stats in place (the engine is discarded after the run, so the result
+// owns the stats and reader rows without a copy); the per-reader rows
+// attribute the stranded backlog and timeouts by final association.
+func (e *engine) drain(res *NetResult) {
+	res.SimulatedS = e.settleNow
+	e.pool.dispatch(phaseDrain)
+	res.Tags = e.tags.stats
+	res.FramesOffered, res.FramesDelivered, res.FramesDropped, _ = e.census()
+	// Serial in tag order: the float sums (adaptInvMult, cwndSum)
+	// depend on order and must match the serial engine exactly.
+	if f := e.fade; f != nil {
+		for i := range f.switches {
 			res.RateSwitches += f.switches[i]
 			res.AdaptChunks += f.chunks[i]
 			res.AdaptLagChunks += f.lag[i]
 			res.adaptInvMult += f.invMult[i]
 		}
-		if c := e.cong; c != nil {
+	}
+	if c := e.cong; c != nil {
+		for i := range c.timeouts {
 			res.Timeouts += int64(c.timeouts[i])
 			res.Retransmissions += int64(c.retxCount[i])
 			res.RetxDropped += int64(c.retxDrops[i])
 			res.cwndSum += c.cwnd[i]
-		}
-		res.FramesOffered += int64(ts.FramesOffered)
-		res.FramesDelivered += int64(ts.FramesDelivered)
-		res.FramesDropped += int64(ts.FramesDropped)
-		// Per-reader drain by final association: residual queue depth
-		// (the backlog the run left stranded) and the congestion
-		// timeouts the reader's cell inflicted.
-		rs := &e.rstats[t.reader[i]]
-		rs.QueueDepth += int64(t.queue[i])
-		if c := e.cong; c != nil {
-			rs.QueueDepth += int64(c.retxQ[i])
-			rs.Timeouts += int64(c.timeouts[i])
+			e.rstats[e.tags.reader[i]].Timeouts += int64(c.timeouts[i])
 		}
 	}
 	for r := range e.rstats {
-		e.rstats[r].AssociatedTags = int(e.readerOff[r+1] - e.readerOff[r])
+		rs := &e.rstats[r]
+		rs.QueueDepth = e.backlog[r]
+		rs.AssociatedTags = int(e.readerOff[r+1] - e.readerOff[r])
 		if f := e.flt; f != nil {
-			e.rstats[r].OutageRounds = int(f.outageRounds[r])
-			e.rstats[r].InterferenceRounds = int(f.interfRounds[r])
+			rs.OutageRounds = int(f.outageRounds[r])
+			rs.InterferenceRounds = int(f.interfRounds[r])
 		}
-		res.Readers = append(res.Readers, e.rstats[r])
 	}
-	return res, nil
+	res.Readers = e.rstats
 }
 
 // Hotspot thresholds: a reader cell is saturated when its window
@@ -786,27 +817,6 @@ const (
 	satOnsetFrac    = 0.95
 	satRecoveryFrac = 0.5
 )
-
-// buildActiveCells refreshes the list of reader cells the current round
-// opens. Cheap (R <= 64); called every round. Part of the round loop
-// guarded by TestRoundLoopAllocFree.
-//
-//fdlint:noalloc
-func (e *engine) buildActiveCells() {
-	e.activeCells = e.activeCells[:0]
-	for r := range e.readers {
-		if e.activeReader >= 0 && r != e.activeReader {
-			continue
-		}
-		if e.flt != nil && e.flt.down[r] {
-			// An outaged reader opens no window; its tags either
-			// re-associated at the outage edge or (when every reader is
-			// down) wait it out.
-			continue
-		}
-		e.activeCells = append(e.activeCells, int32(r))
-	}
-}
 
 // contends reports whether tag i contends for a slot this round: alive
 // with a backlog, not churned away, and (under congestion control)
@@ -1070,7 +1080,7 @@ func (e *engine) settleShard(lo, hi int) {
 //fdlint:noalloc
 func (e *engine) drainShard(lo, hi int) {
 	t := &e.tags
-	sim := e.res.SimulatedS
+	sim := e.settleNow
 	b := e.budget
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
@@ -1109,7 +1119,7 @@ func (e *engine) drainShard(lo, hi int) {
 // Full duplex draws a fresh seed per transmission so feedback-decoding
 // randomness is independent across frames (the protocol reseeds its
 // internal source on every Run call). Part of the round loop guarded by
-// TestRoundLoopAllocFree and TestShardedRoundLoopAllocFree.
+// TestRoundLoopAllocFree, sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1162,8 +1172,7 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 // at round end — and then executes the slots exactly as the serial
 // engine did. Everything written here is owned by the cell: its tags'
 // columns, its reader's stats, its cellAcc entry. Part of the round
-// loop guarded by TestRoundLoopAllocFree and
-// TestShardedRoundLoopAllocFree.
+// loop guarded by TestRoundLoopAllocFree, sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1240,7 +1249,7 @@ func (e *engine) runWindowCell(w *netWorker, ci int) {
 // the slot's elapsed byte-time. Shared by the ALOHA and
 // policy-scheduled window paths; everything written is owned by the
 // calling cell. Part of the round loop guarded by
-// TestRoundLoopAllocFree and TestShardedRoundLoopAllocFree.
+// TestRoundLoopAllocFree, sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -255,6 +256,61 @@ func TestParseScenarioRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseScenario([]byte(`{"tags": 4, "typo_field": 1}`)); err == nil {
 		t.Fatal("unknown JSON field accepted")
 	}
+}
+
+// FuzzParseScenario drives hostile bodies through the request path.
+// ParseScenario, ApplyDefaults and Validate must never panic, and a
+// body that parses must marshal and re-parse to the same pre-defaults
+// Scenario with the same Validate outcome: resume tokens embed exactly
+// that re-marshaled scenario.
+func FuzzParseScenario(f *testing.F) {
+	for _, name := range PresetNames() {
+		sc, err := Preset(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		b, err := json.Marshal(sc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no example scenarios found (%v)", err)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+	validate := func(sc Scenario) error {
+		sc.ApplyDefaults()
+		return sc.Validate()
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := ParseScenario(data)
+		if err != nil {
+			return
+		}
+		b, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatalf("parsed scenario does not marshal: %v", err)
+		}
+		back, err := ParseScenario(b)
+		if err != nil {
+			t.Fatalf("re-marshaled scenario does not parse: %v\n%s", err, b)
+		}
+		if !reflect.DeepEqual(back, sc) {
+			t.Fatalf("marshal round trip changed the scenario:\n%+v\n%+v", sc, back)
+		}
+		verr, berr := validate(sc), validate(back)
+		if (verr == nil) != (berr == nil) || (verr != nil && verr.Error() != berr.Error()) {
+			t.Fatalf("Validate outcome changed across the round trip: %v vs %v", verr, berr)
+		}
+	})
 }
 
 func TestLoadScenarioFile(t *testing.T) {

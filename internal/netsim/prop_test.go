@@ -2,13 +2,31 @@ package netsim
 
 // Property tests for the round-end energy settlement and the
 // cell-level metrics: invariants that must hold for every scenario and
-// seed, checked through the engine's round probe rather than any one
-// golden value.
+// seed, checked through a probe observer rather than any one golden
+// value.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 )
+
+// probe adapts a per-round check to the engine's roundObserver: the
+// check sees the engine after each round's settlement, before the
+// round's transmit columns reset, and its error aborts the run. init
+// allocates the settled-harvest column, which exists only under a
+// probe.
+type probe func(e *engine, round int) error
+
+func (probe) init(e *engine) { e.harvest = make([]float64, e.tags.len()) }
+
+func (p probe) observe(e *engine, _ *NetResult, round int) error { return p(e, round) }
+
+// runProbed runs sc at seed on one worker with check observing every
+// round.
+func runProbed(sc Scenario, seed uint64, check probe) (*NetResult, error) {
+	return run(context.Background(), sc, seed, 1, check)
+}
 
 // propScenarios is a spread of engine configurations covering closed
 // and open loop, every scheduling mode, mobility, and rho = 1 (the
@@ -32,48 +50,39 @@ func propScenarios() []Scenario {
 func TestEnergySettlementInvariants(t *testing.T) {
 	for si, sc := range propScenarios() {
 		for seed := uint64(1); seed <= 4; seed++ {
-			var probeErr error
 			prevAlive := make([]bool, sc.Tags)
 			for i := range prevAlive {
 				prevAlive[i] = true
 			}
-			probe := func(round int, dt float64, st roundState) {
-				if probeErr != nil {
-					return
-				}
+			_, err := runProbed(sc, seed, func(e *engine, round int) error {
+				tg, dt := &e.tags, e.settleDt
 				if dt <= 0 {
-					probeErr = fmt.Errorf("round %d settled over non-positive dt %g", round, dt)
-					return
+					return fmt.Errorf("round %d settled over non-positive dt %g", round, dt)
 				}
-				for i := range st.alive {
+				for i := range tg.alive {
 					// A tag transmits at most once per round inside its
 					// reader's window, and the wall clock is the longest
 					// active window: transmit time can never exceed it.
-					if st.txDt[i] > dt+1e-12 {
-						probeErr = fmt.Errorf("round %d tag %d: txDt %g exceeds round dt %g", round, i, st.txDt[i], dt)
-						return
+					if tg.txDt[i] > dt+1e-12 {
+						return fmt.Errorf("round %d tag %d: txDt %g exceeds round dt %g", round, i, tg.txDt[i], dt)
 					}
 					// The rho/2 Manchester-duty reflection loss removes at
 					// most half the incident power even at rho = 1: the
 					// harvest input stays physical.
-					if st.harvestW[i] < 0 {
-						probeErr = fmt.Errorf("round %d tag %d: negative harvest power %g", round, i, st.harvestW[i])
-						return
+					if e.harvest[i] < 0 {
+						return fmt.Errorf("round %d tag %d: negative harvest power %g", round, i, e.harvest[i])
 					}
 					// Brown-out death is latched: once a tag dies it stays
 					// dead for the rest of the run.
-					if !prevAlive[i] && st.alive[i] {
-						probeErr = fmt.Errorf("round %d tag %d: revived after brown-out", round, i)
-						return
+					if !prevAlive[i] && tg.alive[i] {
+						return fmt.Errorf("round %d tag %d: revived after brown-out", round, i)
 					}
-					prevAlive[i] = st.alive[i]
+					prevAlive[i] = tg.alive[i]
 				}
-			}
-			if _, err := run(sc, seed, 1, probe, nil); err != nil {
+				return nil
+			})
+			if err != nil {
 				t.Fatalf("scenario %d seed %d: %v", si, seed, err)
-			}
-			if probeErr != nil {
-				t.Fatalf("scenario %d seed %d: %v", si, seed, probeErr)
 			}
 		}
 	}

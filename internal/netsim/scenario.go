@@ -509,6 +509,11 @@ func ParseScenario(data []byte) (Scenario, error) {
 	if err := dec.Decode(&s); err != nil {
 		return Scenario{}, fmt.Errorf("netsim: bad scenario JSON: %w", err)
 	}
+	if len(s.Faults.Events) == 0 {
+		// Empty events marshal omitted: decode [] as absent so a parsed
+		// scenario survives a marshal round trip unchanged.
+		s.Faults.Events = nil
+	}
 	return s, nil
 }
 

@@ -5,10 +5,15 @@ package netsim
 // when its context is cancelled — the re-entrant, cancellable engine
 // surface the fdnetd service is built on (internal/netsvc).
 //
-// The stream changes nothing about what the engine computes: snapshots
-// are read-only observations taken between rounds, they consume no
-// randomness, and the final NetResult is byte-identical to a batch
-// Run/RunParallel of the same (Scenario, seed) at any worker count.
+// The streamer hooks in as the engine's roundObserver — the same
+// interface the property tests' probes implement — so a streamed run
+// drives the one round loop every run drives, and RunStream's ctx is
+// the one the loop checks at the top of every round. The stream
+// changes nothing about what the engine computes: snapshots are
+// read-only observations taken after each round's settlement, they
+// consume no randomness, and the final NetResult is byte-identical to
+// a batch Run/RunParallel of the same (Scenario, seed) at any worker
+// count.
 //
 // Resume rides the engine's purity contract. A run's state after k
 // rounds — including every inline per-tag RNG column — is a pure
@@ -129,16 +134,15 @@ func RunStreamOptions(ctx context.Context, sc Scenario, seed uint64, opts Stream
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	st := &streamer{ctx: ctx, sink: sink, start: opts.StartRound}
-	return run(sc, seed, opts.Workers, nil, st)
+	return run(ctx, sc, seed, opts.Workers, &streamer{sink: sink, start: opts.StartRound})
 }
 
-// streamer holds the per-run streaming state: the previous round's
-// cumulative counters (so deltas cost one subtraction) and the reused
-// snapshot buffers. All reads happen between rounds on the dispatching
-// goroutine, so no synchronisation is needed.
+// streamer is the roundObserver behind RunStream. It holds the per-run
+// streaming state: the previous round's cumulative counters (so deltas
+// cost one subtraction) and the reused snapshot buffers. All reads
+// happen between rounds on the dispatching goroutine, so no
+// synchronisation is needed.
 type streamer struct {
-	ctx   context.Context
 	sink  SnapshotSink
 	start int
 
@@ -147,7 +151,6 @@ type streamer struct {
 	prevReaders   []ReaderStats
 	prevRate      []int64
 	curRate       []int64
-	qdepth        []int64
 }
 
 // init sizes the reused buffers once the engine geometry is known.
@@ -155,7 +158,6 @@ func (st *streamer) init(e *engine) {
 	R := len(e.rstats)
 	st.snap.Readers = make([]ReaderRound, R)
 	st.prevReaders = make([]ReaderStats, R)
-	st.qdepth = make([]int64, R)
 	if e.fade != nil {
 		nr := e.fade.nr
 		st.prevRate = make([]int64, nr)
@@ -168,10 +170,10 @@ func (st *streamer) init(e *engine) {
 // it to the sink (unless the round predates a resume cursor). Deltas
 // are tracked every round regardless of emission, so a resumed stream's
 // first snapshot carries the same deltas the uninterrupted stream's
-// did. Runs once per settled round inside the same round loop the
-// TestRoundLoopAllocFree family budgets, so it must stay
-// allocation-free: the snapshot struct and its slices are sized once in
-// init and reused for every round.
+// did. Runs once per settled round inside the round loop the
+// TestRoundLoopAllocFree table budgets (its streamed row), so it must
+// stay allocation-free: the snapshot struct and its slices are sized
+// once in init and reused for every round.
 //
 //fdlint:noalloc
 func (st *streamer) observe(e *engine, res *NetResult, round int) error {
@@ -179,23 +181,7 @@ func (st *streamer) observe(e *engine, res *NetResult, round int) error {
 	t := &e.tags
 	s.Round = round + 1
 
-	var offered, delivered, dropped int64
-	alive := 0
-	clear(st.qdepth)
-	for i := range t.stats {
-		ts := &t.stats[i]
-		offered += int64(ts.FramesOffered)
-		delivered += int64(ts.FramesDelivered)
-		dropped += int64(ts.FramesDropped)
-		if t.alive[i] {
-			alive++
-		}
-		q := int64(t.queue[i])
-		if e.cong != nil {
-			q += int64(e.cong.retxQ[i])
-		}
-		st.qdepth[t.reader[i]] += q
-	}
+	offered, delivered, dropped, alive := e.census()
 	s.FramesOffered, s.FramesDelivered, s.FramesDropped = offered, delivered, dropped
 	s.DeliveredDelta = delivered - st.prevDelivered
 	st.prevDelivered = delivered
@@ -206,10 +192,7 @@ func (st *streamer) observe(e *engine, res *NetResult, round int) error {
 	}
 	s.GoodputBytes = res.GoodputBytes
 	s.ElapsedBytes = res.ElapsedBytes
-	s.Throughput = 0
-	if res.ElapsedBytes > 0 {
-		s.Throughput = float64(res.GoodputBytes) / float64(res.ElapsedBytes)
-	}
+	s.Throughput = res.Throughput()
 	s.SimulatedS = float64(res.ElapsedBytes) * e.secondsPerByte
 	s.IdleSlots = res.IdleSlots
 	s.SingletonSlots = res.SingletonSlots
@@ -225,7 +208,7 @@ func (st *streamer) observe(e *engine, res *NetResult, round int) error {
 		rr.SingletonDelta = cur.SingletonSlots - prev.SingletonSlots
 		rr.CollisionDelta = cur.CollisionSlots - prev.CollisionSlots
 		rr.Saturation = float64(rr.SingletonDelta+rr.CollisionDelta) / cw
-		rr.QueueDepth = st.qdepth[r]
+		rr.QueueDepth = e.backlog[r]
 		rr.Down, rr.Interference = false, false
 		if flt := e.flt; flt != nil {
 			rr.Down = flt.down[r]
