@@ -25,7 +25,8 @@
 // -workers count (sharding changes who computes, never what). The
 // resolved worker count goes to stderr so stdout stays byte-stable.
 // -summary skips the per-tag table (a million-tag table is ~100 MB)
-// and prints only the aggregate block.
+// and prints only the aggregate block. -format accepts text or csv;
+// any other value exits 2.
 package main
 
 import (
@@ -62,6 +63,10 @@ func main() {
 		summary    = flag.Bool("summary", false, "print only the aggregate block, not the per-tag table")
 	)
 	flag.Parse()
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(os.Stderr, "fdnet: -format %q: must be text or csv\n", *format)
+		os.Exit(2)
+	}
 
 	if *presets || (*preset == "" && *file == "") {
 		fmt.Println("built-in scenarios:")

@@ -11,8 +11,9 @@ import (
 // both the exact engine and the analytic fast path. The table reports
 // only simulation outcomes — never wall time, which would break the
 // byte-identical-output contract — while the cell's wall clock is what
-// the perf gate tracks through BENCH_baseline.json. Quick mode runs one
-// scaled-down point so CI exercises the identical code path cheaply.
+// the CI perf gate tracks through perfbench's bench.scen-million_ms.
+// Quick mode runs one scaled-down point so CI exercises the identical
+// code path cheaply.
 
 // mustRunParallel executes a scenario cell on the sharded engine with
 // one worker per CPU; the result is byte-identical at any worker count,

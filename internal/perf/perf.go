@@ -1,44 +1,14 @@
-// Package perf is the benchmark-regression subsystem: it loads the
-// per-experiment wall-clock reports cmd/fdbench emits (-timingjson),
-// compares a current run against a committed baseline, and gates on
-// regressions. The committed BENCH_baseline.json at the repository
-// root plus the CI perf job keep the harness's measured speed from
-// silently regressing — the perf counterpart of the determinism gate.
+// Package perf holds HostCPUModel, the CPU-model probe behind the
+// environment stamp perfbench prints. perfbench/workloads.go imports
+// it, and moving it into perfbench waits for a change to the benchmark
+// itself. Timing, reports and the regression gate live in perfbench and
+// the CI perf job, not here.
 package perf
 
 import (
-	"encoding/json"
-	"fmt"
-	"math"
 	"os"
-	"sort"
 	"strings"
 )
-
-// Timing is one experiment's wall-clock measurement.
-type Timing struct {
-	ID string  `json:"id"`
-	Ms float64 `json:"ms"`
-}
-
-// Report is the fdbench -timingjson schema: enough context to compare
-// runs across commits and machines.
-type Report struct {
-	Seed       uint64 `json:"seed"`
-	Quick      bool   `json:"quick"`
-	Parallel   int    `json:"parallel"`
-	GoVersion  string `json:"go_version"`
-	GOMAXPROCS int    `json:"gomaxprocs"`
-	// NumCPU and CPUModel record the machine the report was measured on
-	// (runtime.NumCPU and /proc/cpuinfo's model name). A timing ratio
-	// against a baseline from different hardware measures the hardware,
-	// not the code — EnvMismatch surfaces the difference so Compare
-	// output can be read with the right scepticism.
-	NumCPU      int      `json:"num_cpu,omitempty"`
-	CPUModel    string   `json:"cpu_model,omitempty"`
-	Experiments []Timing `json:"experiments"`
-	TotalMs     float64  `json:"total_ms"`
-}
 
 // HostCPUModel reads the CPU model name from /proc/cpuinfo, or returns
 // "" where that interface does not exist (non-Linux hosts).
@@ -55,170 +25,4 @@ func HostCPUModel() string {
 		}
 	}
 	return ""
-}
-
-// EnvMismatch compares the environments two reports were measured in
-// and returns one human-readable warning per difference that can skew
-// a timing ratio: GOMAXPROCS, worker count, CPU count, CPU model, Go
-// version, and quick-vs-full mode. Empty means the environments match
-// (unrecorded baseline fields — old reports — are not flagged).
-func EnvMismatch(cur, base *Report) []string {
-	var out []string
-	add := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
-	if cur.Quick != base.Quick {
-		add("mode: current quick=%v, baseline quick=%v", cur.Quick, base.Quick)
-	}
-	if cur.GOMAXPROCS != base.GOMAXPROCS {
-		add("gomaxprocs: current %d, baseline %d", cur.GOMAXPROCS, base.GOMAXPROCS)
-	}
-	if cur.Parallel != base.Parallel {
-		add("workers: current %d, baseline %d", cur.Parallel, base.Parallel)
-	}
-	if base.NumCPU != 0 && cur.NumCPU != base.NumCPU {
-		add("cpus: current %d, baseline %d", cur.NumCPU, base.NumCPU)
-	}
-	if base.CPUModel != "" && cur.CPUModel != base.CPUModel {
-		add("cpu model: current %q, baseline %q", cur.CPUModel, base.CPUModel)
-	}
-	if cur.GoVersion != base.GoVersion {
-		add("go version: current %s, baseline %s", cur.GoVersion, base.GoVersion)
-	}
-	return out
-}
-
-// Load reads a report from a JSON file.
-func Load(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("perf: parse %s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// Write stores the report as indented JSON.
-func (r *Report) Write(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Timing returns the measurement for an experiment id.
-func (r *Report) Timing(id string) (ms float64, ok bool) {
-	for _, t := range r.Experiments {
-		if t.ID == id {
-			return t.Ms, true
-		}
-	}
-	return 0, false
-}
-
-// Delta status values (see Delta.Status).
-const (
-	// StatusAdded marks an experiment present only in the current
-	// report: new coverage, nothing to regress from.
-	StatusAdded = "added"
-	// StatusRemoved marks an experiment present only in the baseline:
-	// its timing can no longer be checked, so a renamed or deleted cell
-	// is surfaced instead of silently dodging the gate.
-	StatusRemoved = "removed"
-)
-
-// Delta is one experiment's baseline-to-current comparison.
-type Delta struct {
-	ID         string
-	BaselineMs float64
-	CurrentMs  float64
-	// Ratio is CurrentMs / BaselineMs (+Inf when the baseline is 0,
-	// including added experiments; 0 for removed ones).
-	Ratio float64
-	// Status is "" for experiments present in both reports,
-	// StatusAdded (current only) or StatusRemoved (baseline only).
-	Status string
-}
-
-// Compare matches the current report's experiments against the
-// baseline by id and returns one delta per experiment seen on either
-// side, sorted by descending ratio. Experiments present on only one
-// side are surfaced explicitly (Status added/removed) rather than
-// skipped — a renamed bench cell shows up as one removal plus one
-// addition instead of vanishing from the comparison.
-func Compare(cur, base *Report) []Delta {
-	var out []Delta
-	for _, t := range cur.Experiments {
-		bms, ok := base.Timing(t.ID)
-		if !ok {
-			out = append(out, Delta{ID: t.ID, CurrentMs: t.Ms, Ratio: math.Inf(1), Status: StatusAdded})
-			continue
-		}
-		d := Delta{ID: t.ID, BaselineMs: bms, CurrentMs: t.Ms}
-		if bms > 0 {
-			d.Ratio = t.Ms / bms
-		} else if t.Ms > 0 {
-			d.Ratio = math.Inf(1)
-		} else {
-			d.Ratio = 1
-		}
-		out = append(out, d)
-	}
-	for _, t := range base.Experiments {
-		if _, ok := cur.Timing(t.ID); !ok {
-			out = append(out, Delta{ID: t.ID, BaselineMs: t.Ms, Ratio: 0, Status: StatusRemoved})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Ratio != out[j].Ratio {
-			return out[i].Ratio > out[j].Ratio
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
-}
-
-// Gate is a regression policy. The zero value is not useful; use
-// DefaultGate (the CI policy) or set the fields explicitly.
-type Gate struct {
-	// MaxRatio is the allowed current/baseline slowdown (e.g. 2 means
-	// "fail beyond 2x slower").
-	MaxRatio float64
-	// MinBaselineMs ignores experiments whose baseline is below this
-	// floor: sub-millisecond cells jitter by integer factors from
-	// scheduling noise alone and would make the gate flaky.
-	MinBaselineMs float64
-	// SlackMs additionally requires the absolute slowdown to exceed
-	// this many milliseconds, so a borderline cell on a slow CI runner
-	// does not trip the gate.
-	SlackMs float64
-}
-
-// DefaultGate is the CI policy: fail only on a >2x slowdown that also
-// costs more than 50 ms absolute, ignoring baselines under 5 ms.
-var DefaultGate = Gate{MaxRatio: 2, MinBaselineMs: 5, SlackMs: 50}
-
-// Regressions returns the deltas that violate the gate, worst first.
-// A removed experiment whose baseline clears the noise floor is itself
-// a violation: its timing can no longer be verified, so renaming a
-// bench cell cannot silently dodge the gate. Added experiments are
-// surfaced by Compare but never gate — a new cell has no baseline to
-// regress from.
-func (g Gate) Regressions(cur, base *Report) []Delta {
-	var out []Delta
-	for _, d := range Compare(cur, base) {
-		if d.Status == StatusAdded || d.BaselineMs < g.MinBaselineMs {
-			continue
-		}
-		if d.Status == StatusRemoved {
-			out = append(out, d)
-			continue
-		}
-		if d.Ratio > g.MaxRatio && d.CurrentMs-d.BaselineMs > g.SlackMs {
-			out = append(out, d)
-		}
-	}
-	return out
 }

@@ -1,186 +1,9 @@
 package perf
 
 import (
-	"math"
 	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
-
-func report(ts ...Timing) *Report {
-	r := &Report{Experiments: ts}
-	for _, t := range ts {
-		r.TotalMs += t.Ms
-	}
-	return r
-}
-
-func TestLoadWriteRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "bench.json")
-	want := report(Timing{ID: "fig1", Ms: 123.5}, Timing{ID: "fig4", Ms: 8})
-	want.Seed, want.Quick, want.Parallel = 1, true, 8
-	if err := want.Write(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seed != 1 || !got.Quick || got.Parallel != 8 || len(got.Experiments) != 2 {
-		t.Fatalf("round trip mangled report: %+v", got)
-	}
-	if ms, ok := got.Timing("fig4"); !ok || ms != 8 {
-		t.Fatalf("Timing(fig4) = %v, %v", ms, ok)
-	}
-	if _, ok := got.Timing("nope"); ok {
-		t.Fatal("Timing must report missing ids")
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("want error for missing file")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := writeFile(bad, "{not json"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Fatal("want error for malformed JSON")
-	}
-}
-
-func TestCompareSortsWorstFirst(t *testing.T) {
-	base := report(Timing{ID: "a", Ms: 100}, Timing{ID: "b", Ms: 100}, Timing{ID: "gone", Ms: 5})
-	cur := report(Timing{ID: "a", Ms: 150}, Timing{ID: "b", Ms: 400}, Timing{ID: "new", Ms: 9})
-	ds := Compare(cur, base)
-	if len(ds) != 4 {
-		t.Fatalf("got %d deltas, want 4 (unmatched ids surfaced as added/removed)", len(ds))
-	}
-	if ds[0].ID != "new" || ds[0].Status != StatusAdded {
-		t.Fatalf("first delta = %+v, want the added cell (+Inf ratio)", ds[0])
-	}
-	if ds[1].ID != "b" || ds[1].Ratio != 4 {
-		t.Fatalf("worst matched delta = %+v, want b at 4x", ds[1])
-	}
-	if ds[2].ID != "a" || ds[2].Ratio != 1.5 {
-		t.Fatalf("second matched delta = %+v, want a at 1.5x", ds[2])
-	}
-	if ds[3].ID != "gone" || ds[3].Status != StatusRemoved || ds[3].Ratio != 0 {
-		t.Fatalf("last delta = %+v, want the removed cell at ratio 0", ds[3])
-	}
-}
-
-// Pre-fix, Compare silently skipped experiment ids present in only one
-// report and Regressions never saw them, so renaming a bench cell made
-// its timing vanish from the CI perf gate. Post-fix added and removed
-// cells surface as explicit deltas and a removed cell above the noise
-// floor fails the gate.
-func TestRenamedCellCannotDodgeGate(t *testing.T) {
-	base := report(Timing{ID: "scen-old-name", Ms: 120}, Timing{ID: "stable", Ms: 50})
-	cur := report(Timing{ID: "scen-new-name", Ms: 500}, Timing{ID: "stable", Ms: 50})
-
-	ds := Compare(cur, base)
-	var added, removed *Delta
-	for i := range ds {
-		switch ds[i].Status {
-		case StatusAdded:
-			added = &ds[i]
-		case StatusRemoved:
-			removed = &ds[i]
-		}
-	}
-	if added == nil || added.ID != "scen-new-name" || added.CurrentMs != 500 {
-		t.Fatalf("added cell not surfaced: %+v", ds)
-	}
-	if removed == nil || removed.ID != "scen-old-name" || removed.BaselineMs != 120 {
-		t.Fatalf("removed cell not surfaced: %+v", ds)
-	}
-
-	regs := DefaultGate.Regressions(cur, base)
-	if len(regs) != 1 || regs[0].ID != "scen-old-name" || regs[0].Status != StatusRemoved {
-		t.Fatalf("Regressions = %+v, want the removed scen-old-name flagged", regs)
-	}
-}
-
-// A removed cell below the gate's noise floor stays ignorable, and
-// added cells never gate: growing the suite cannot fail CI.
-func TestGateIgnoresTinyRemovalsAndAdditions(t *testing.T) {
-	base := report(Timing{ID: "tiny-gone", Ms: 1}, Timing{ID: "stable", Ms: 50})
-	cur := report(Timing{ID: "stable", Ms: 50}, Timing{ID: "brand-new", Ms: 900})
-	if regs := DefaultGate.Regressions(cur, base); len(regs) != 0 {
-		t.Fatalf("Regressions = %+v, want none", regs)
-	}
-}
-
-func TestCompareZeroBaseline(t *testing.T) {
-	ds := Compare(report(Timing{ID: "a", Ms: 3}), report(Timing{ID: "a", Ms: 0}))
-	if len(ds) != 1 || !math.IsInf(ds[0].Ratio, 1) {
-		t.Fatalf("zero baseline with nonzero current must be +Inf, got %+v", ds)
-	}
-}
-
-func TestGate(t *testing.T) {
-	base := report(
-		Timing{ID: "big-regressed", Ms: 100},
-		Timing{ID: "big-ok", Ms: 100},
-		Timing{ID: "tiny-regressed", Ms: 1},
-		Timing{ID: "borderline", Ms: 30},
-	)
-	cur := report(
-		Timing{ID: "big-regressed", Ms: 300},
-		Timing{ID: "big-ok", Ms: 150},
-		Timing{ID: "tiny-regressed", Ms: 10}, // 10x but under MinBaselineMs
-		Timing{ID: "borderline", Ms: 70},     // 2.3x but only +40ms, under SlackMs
-	)
-	regs := DefaultGate.Regressions(cur, base)
-	if len(regs) != 1 || regs[0].ID != "big-regressed" {
-		t.Fatalf("Regressions = %+v, want only big-regressed", regs)
-	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
-}
-
-func TestEnvMismatch(t *testing.T) {
-	base := &Report{Quick: true, GOMAXPROCS: 1, Parallel: 8, NumCPU: 4,
-		CPUModel: "Old CPU", GoVersion: "go1.22.0"}
-	same := *base
-	if w := EnvMismatch(&same, base); len(w) != 0 {
-		t.Fatalf("identical environments flagged: %v", w)
-	}
-	cur := &Report{Quick: false, GOMAXPROCS: 16, Parallel: 4, NumCPU: 16,
-		CPUModel: "New CPU", GoVersion: "go1.24.0"}
-	warns := EnvMismatch(cur, base)
-	if len(warns) != 6 {
-		t.Fatalf("want 6 warnings, got %d: %v", len(warns), warns)
-	}
-	for _, want := range []string{"mode", "gomaxprocs", "workers", "cpus", "cpu model", "go version"} {
-		found := false
-		for _, w := range warns {
-			if strings.HasPrefix(w, want+":") {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("no warning for %s in %v", want, warns)
-		}
-	}
-}
-
-func TestEnvMismatchToleratesUnrecordedBaseline(t *testing.T) {
-	// Reports written before env recording carry no CPU fields; they
-	// must not warn about every machine being "different from" zero.
-	base := &Report{GOMAXPROCS: 8, Parallel: 8, GoVersion: "go1.24.0"}
-	cur := &Report{GOMAXPROCS: 8, Parallel: 8, GoVersion: "go1.24.0",
-		NumCPU: 16, CPUModel: "Some CPU"}
-	if w := EnvMismatch(cur, base); len(w) != 0 {
-		t.Fatalf("unrecorded baseline env flagged: %v", w)
-	}
-}
 
 func TestHostCPUModel(t *testing.T) {
 	// On Linux /proc/cpuinfo exists and the model is non-empty; anywhere
