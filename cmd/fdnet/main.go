@@ -16,17 +16,20 @@
 //	fdnet -preset million -analytic -summary
 //	fdnet -preset congested-dock -policy fifo       # swap admission
 //	fdnet -preset warehouse -congestion cubic -load 1.5
+//	fdnet -preset million -summary -cpuprofile cpu.prof -memprofile mem.prof
 //
 // Overrides (-tags, -topology, -radius, -load, -protocol, -readers,
 // -scheduling, -mobility, -rateadapt, -faderho, -policy, -congestion,
 // -analytic) apply on top of the preset or file; everything else comes
-// from the scenario.
+// from the scenario; a negative -tags, -radius, -load, -readers,
+// -mobility or -faderho exits 2.
 // Runs are deterministic: same scenario + seed, same output — at ANY
 // -workers count (sharding changes who computes, never what). The
 // resolved worker count goes to stderr so stdout stays byte-stable.
 // -summary skips the per-tag table (a million-tag table is ~100 MB)
 // and prints only the aggregate block. -format accepts text or csv;
-// any other value exits 2.
+// any other value exits 2. -cpuprofile/-memprofile write pprof profiles
+// of the run, as fdbench's do; stdout is unchanged.
 package main
 
 import (
@@ -34,12 +37,21 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"repro/internal/netsim"
 	"repro/internal/trace"
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run carries the whole command so the CPU profile flushes on every
+// exit path; os.Exit skips deferred calls, which would leave
+// -cpuprofile truncated on an error exit.
+func run() (code int) {
 	var (
 		presets    = flag.Bool("presets", false, "list built-in scenarios and exit")
 		preset     = flag.String("preset", "", "built-in scenario name")
@@ -61,11 +73,31 @@ func main() {
 		workers    = flag.Int("workers", 0, "engine workers (0 = one per CPU); the result is identical at any count")
 		analytic   = flag.Bool("analytic", false, "use the closed-form analytic engine (delivery-tight, airtime-optimistic)")
 		summary    = flag.Bool("summary", false, "print only the aggregate block, not the per-tag table")
+		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf    = flag.String("memprofile", "", "write a pprof heap profile to this file")
 	)
 	flag.Parse()
 	if *format != "text" && *format != "csv" {
 		fmt.Fprintf(os.Stderr, "fdnet: -format %q: must be text or csv\n", *format)
-		os.Exit(2)
+		return 2
+	}
+	// A negative override is a mistake, not a request for the
+	// scenario's value: reject it rather than silently dropping it.
+	// Only explicitly passed flags are checked, so -faderho's unset
+	// sentinel (-1) keeps meaning "no override".
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, o := range []struct {
+		name string
+		neg  bool
+	}{
+		{"tags", *tags < 0}, {"radius", *radius < 0}, {"load", *load < 0},
+		{"readers", *readers < 0}, {"mobility", *mobility < 0}, {"faderho", *fadeRho < 0},
+	} {
+		if o.neg && set[o.name] {
+			fmt.Fprintf(os.Stderr, "fdnet: -%s %s: must not be negative\n", o.name, flag.Lookup(o.name).Value)
+			return 2
+		}
 	}
 
 	if *presets || (*preset == "" && *file == "") {
@@ -97,7 +129,7 @@ func main() {
 		if !*presets {
 			fmt.Println("\nrun one with: fdnet -preset <name>   (or -scenario <file.json>)")
 		}
-		return
+		return 0
 	}
 
 	var sc netsim.Scenario
@@ -112,7 +144,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if *tags > 0 {
 		sc.Tags = *tags
@@ -165,16 +197,41 @@ func main() {
 	// machine's CPU count.
 	fmt.Fprintf(os.Stderr, "fdnet: %s seed=%d workers=%d engine=%s\n", sc.Name, *seed, nw, engine)
 
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil && code == 0 {
+				fmt.Fprintln(os.Stderr, err)
+				code = 1
+			}
+		}()
+	}
 	res, err := netsim.RunParallel(sc, *seed, nw)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
+	}
+	if *memProf != "" {
+		if err := writeHeapProfile(*memProf); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
 	}
 
 	adapt := res.Scenario.RateAdapt.Adapter != ""
 	if *summary {
 		printAggregates(res, os.Stdout)
-		return
+		return 0
 	}
 	cols := []string{"tag", "reader", "dist_m", "snr_db", "chunk_loss", "fb_ber",
 		"offered", "delivered", "dropped", "collisions", "outage", "alive"}
@@ -206,11 +263,27 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return 1
 	}
 	if *format != "csv" {
 		printAggregates(res, os.Stdout)
 	}
+	return 0
+}
+
+// writeHeapProfile writes a pprof heap profile, taken after a GC, to
+// path.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // printAggregates writes the reader and cell-level summary block — the

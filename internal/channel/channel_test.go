@@ -55,6 +55,55 @@ func TestLogDistanceDefaults(t *testing.T) {
 	}
 }
 
+// TestLogDistanceGainMatchesPow pins Gain's pow kernel to math.Pow bit
+// for bit over the exponents scenarios use and 10^6 log-spaced
+// distances from inside the near-field clamp out to 10 km, plus inputs
+// outside the kernel's domain that must fall back to math.Pow.
+func TestLogDistanceGainMatchesPow(t *testing.T) {
+	const (
+		steps = 1_000_000
+		lo    = 0.01 // below the default 0.1 m clamp
+		hi    = 1e4
+	)
+	ref := NewLogDistance(915e6, 2)
+	check := func(l LogDistance, d float64) {
+		min, d0 := l.MinDistanceM, l.RefDistanceM
+		if min <= 0 {
+			min = 0.1
+		}
+		if d0 <= 0 {
+			d0 = 1
+		}
+		want := l.RefGain * math.Pow(d0/max(d, min), l.Exponent)
+		if got := l.Gain(d); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("n=%g d0=%g min=%g d=%v: Gain %v, RefGain*math.Pow %v", l.Exponent, d0, min, d, got, want)
+		}
+	}
+	logLo, logStep := math.Log(lo), math.Log(hi/lo)/steps
+	for _, n := range []float64{1, 1.5, 2, 2.2, 2.5, 2.7, 3, 3.5, 4, 8} {
+		l := ref
+		l.Exponent = n
+		for k := 0; k <= steps; k++ {
+			check(l, math.Exp(logLo+float64(k)*logStep))
+		}
+		check(l, 1)
+		check(l, math.Nextafter(0.1, 0))
+		check(l, math.Nextafter(0.1, 1))
+	}
+	// Outside the kernel's domain: exponents beyond [1, 8] and ratios
+	// d0/d beyond 2^±60.
+	for _, l := range []LogDistance{
+		{RefGain: ref.RefGain, RefDistanceM: 1, Exponent: 0.5},
+		{RefGain: ref.RefGain, RefDistanceM: 1, Exponent: 9.5},
+		{RefGain: ref.RefGain, RefDistanceM: 1, Exponent: 2.5, MinDistanceM: 1e-30},
+		{RefGain: ref.RefGain, RefDistanceM: 1e-30, Exponent: 3.5},
+	} {
+		for _, d := range []float64{1e-30, 1e-20, 0.5, 1, 3, 1e20, 1e30} {
+			check(l, d)
+		}
+	}
+}
+
 func TestFixedGain(t *testing.T) {
 	g := FixedGain(0.5)
 	if g.Gain(1) != 0.5 || g.Gain(100) != 0.5 {

@@ -89,7 +89,43 @@ func (l LogDistance) Gain(d float64) float64 {
 	if n <= 0 {
 		n = 2
 	}
-	return l.RefGain * math.Pow(d0/d, n)
+	return l.RefGain * powPathLoss(d0/d, n)
+}
+
+// powPathLoss returns math.Pow(x, y), bit for bit, without pow's
+// generic overhead. For a positive, finite x and y in [1, 8], math.Pow
+// folds y into yi+yf with yf in (-0.5, 0.5], takes Exp(yf*Log(x)), and
+// multiplies in x^yi by repeated squaring of Frexp's mantissa, keeping
+// the powers of two aside for a final Ldexp. That rescaling is exact
+// while every intermediate stays a normal float64, and for x within
+// 2^±60 the largest intermediate, x^16, lies within 2^±960. So this
+// kernel performs the same roundings on x itself: the same Exp and Log,
+// then the same products in the same order. Log-distance path loss at
+// any physical distance lands here: Scenario.Validate bounds the
+// exponent to [1, 8] and the MinDistanceM clamp bounds d0/d above. Any
+// other input takes math.Pow.
+func powPathLoss(x, y float64) float64 {
+	if !(y >= 1 && y <= 8 && x >= 0x1p-60 && x <= 0x1p60) {
+		return math.Pow(x, y)
+	}
+	// y >= 1, so y-yi is exact (Sterbenz) and equals Modf's fraction.
+	yi := int64(y)
+	yf := y - float64(yi)
+	a := 1.0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a = math.Exp(yf * math.Log(x))
+	}
+	for p := x; yi != 0; yi >>= 1 {
+		if yi&1 == 1 {
+			a *= p
+		}
+		p *= p
+	}
+	return a
 }
 
 // FixedGain is a PathLoss that ignores distance; useful in unit tests and

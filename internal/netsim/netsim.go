@@ -1169,10 +1169,17 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 // (drawSlots); this rebuilds the slot histogram from the recorded
 // choices — the contender set cannot have changed in between, since
 // only this cell's execution touches its tags' queues and deaths settle
-// at round end — and then executes the slots exactly as the serial
-// engine did. Everything written here is owned by the cell: its tags'
-// columns, its reader's stats, its cellAcc entry. Part of the round
-// loop guarded by TestRoundLoopAllocFree, sharded rows included.
+// at round end — and takes the idle, singleton and collision slot
+// counts from it. One pass over the cell's tags, in tag-index order,
+// then serves each singleton winner and charges each colliding tag.
+// Service order is free: everything a singleton exchange writes
+// belongs to its tag (queue, stats, stream words, fade and congestion
+// rows), or is an integer sum (the cellAcc entry, the reader's stats,
+// the window's byte-time), and a tag either wins its slot or collides,
+// never both. So tag order computes exactly what slot order did, while
+// walking the per-tag columns forward instead of at random. Everything
+// written here is owned by the cell. Part of the round loop guarded by
+// TestRoundLoopAllocFree, sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1194,51 +1201,44 @@ func (e *engine) runWindowCell(w *netWorker, ci int) {
 	t := &e.tags
 	idxs := e.cellTags(r)
 	count := w.slotCount[:cw]
-	winner := w.slotWinner[:cw]
-	for s := range count {
-		count[s] = 0
-	}
+	clear(count)
 	for _, i := range idxs {
-		if !e.contends(i) {
-			continue
-		}
-		s := e.slotChoice[i]
-		count[s]++
-		winner[s] = i
-	}
-	// Attribute collisions before slots execute (the contender set is
-	// exactly the set that drew; queues change only below). A colliding
-	// tag was on air until the reader shut the slot down, so it pays the
-	// transmit energy for that airtime at round-end settlement just like
-	// a singleton winner does — the frame itself stays queued.
-	for _, i := range idxs {
-		if !e.contends(i) {
-			continue
-		}
-		if count[e.slotChoice[i]] > 1 {
-			t.stats[i].Collisions++
-			t.txCount[i]++
-			t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
+		if e.contends(i) {
+			count[e.slotChoice[i]]++
 		}
 	}
-
-	var rb int64
-	rs := &e.rstats[r]
-	for s := 0; s < cw; s++ {
-		switch count[s] {
+	for _, c := range count {
+		switch c {
 		case 0:
 			acc.idleSlots++
-			rb += e.chunkAir // empty slots are short: one chunk-time
 		case 1:
 			acc.singletonSlots++
-			rs.SingletonSlots++
-			rb += e.serveSlot(w, acc, rs, winner[s])
 		default:
 			acc.collisionSlots++
-			rs.CollisionSlots++
-			acc.collisionBytes += e.collisionCost
-			rb += e.collisionCost
 		}
+	}
+	rs := &e.rstats[r]
+	rs.SingletonSlots += acc.singletonSlots
+	rs.CollisionSlots += acc.collisionSlots
+	acc.collisionBytes = acc.collisionSlots * e.collisionCost
+	// Empty slots are short (one chunk-time); a collision costs its
+	// detection airtime.
+	rb := acc.idleSlots*e.chunkAir + acc.collisionBytes
+	for _, i := range idxs {
+		if !e.contends(i) {
+			continue
+		}
+		if count[e.slotChoice[i]] == 1 {
+			rb += e.serveSlot(w, acc, rs, i)
+			continue
+		}
+		// A colliding tag was on air until the reader shut the slot
+		// down, so it pays the transmit energy for that airtime at
+		// round-end settlement just like a singleton winner does — the
+		// frame itself stays queued.
+		t.stats[i].Collisions++
+		t.txCount[i]++
+		t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
 	}
 	acc.windowBytes = rb
 }
@@ -1246,10 +1246,13 @@ func (e *engine) runWindowCell(w *netWorker, ci int) {
 // serveSlot carries tag i's head-of-line frame through one singleton
 // slot — the MAC exchange, queue movement, delivery accounting, and
 // the congestion controller's delivery/failure feedback — and returns
-// the slot's elapsed byte-time. Shared by the ALOHA and
-// policy-scheduled window paths; everything written is owned by the
-// calling cell. Part of the round loop guarded by
-// TestRoundLoopAllocFree, sharded rows included.
+// the slot's elapsed byte-time. Shared by the ALOHA path, which serves
+// its winners in tag order, and the policy-scheduled path, which serves
+// them in grant order. What it writes is tag i's own state plus integer
+// sums (acc, rs), so a cell's winners may be served in any order with
+// the same result; everything written is owned by the calling cell.
+// Part of the round loop guarded by TestRoundLoopAllocFree, sharded
+// rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc

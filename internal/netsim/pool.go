@@ -80,8 +80,7 @@ type netWorker struct {
 	sw     mac.StopAndWait
 	ba     mac.BlockACK
 	// Slot histogram scratch for runWindowCell.
-	slotCount  []int32
-	slotWinner []int32
+	slotCount []int32
 	// Grant-list scratch for runPolicyCell (nil under PolicyAloha):
 	// the top-ContentionWindow contenders by policy metric.
 	grantIdx    []int32
@@ -115,11 +114,10 @@ func (p *pool) start(e *engine, workers int) {
 	cw := e.sc.ContentionWindow
 	for i := range p.workers {
 		w := &netWorker{
-			lossSrc:    simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
-			protoSrc:   simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
-			params:     e.params,
-			slotCount:  make([]int32, cw),
-			slotWinner: make([]int32, cw),
+			lossSrc:   simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
+			protoSrc:  simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
+			params:    e.params,
+			slotCount: make([]int32, cw),
 		}
 		w.iid = mac.NewIIDLossUsing(0, w.lossSrc)
 		w.fd.P = e.params

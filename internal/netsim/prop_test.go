@@ -8,6 +8,8 @@ package netsim
 import (
 	"context"
 	"fmt"
+	"math"
+	"path/filepath"
 	"testing"
 )
 
@@ -152,5 +154,98 @@ func TestMetricEdgeCases(t *testing.T) {
 	hog := NetResult{Tags: []TagStats{{FramesDelivered: 12}, {}, {}, {}}}
 	if f := hog.FairnessIndex(); f < 0.25-1e-12 || f > 0.25+1e-12 {
 		t.Fatalf("one-tag-takes-all fairness = %g, want 1/4", f)
+	}
+}
+
+// slotTally sums, over every round and open cell, what an ALOHA window
+// should show given its contender count: n contenders drawing slots
+// uniformly from m leave a slot idle with probability (1-1/m)^n and a
+// singleton with probability (n/m)(1-1/m)^(n-1). It also sums the
+// variances of the idle and singleton counts and their covariance,
+// from the joint probabilities of two distinct slots; windows draw
+// independently given their contender counts, so the sums are the
+// variances of the run's totals.
+type slotTally struct {
+	slots, idle, single float64
+	varIdle, varSingle  float64
+	cov                 float64
+}
+
+func (s *slotTally) add(n, m float64) {
+	s.slots += m
+	if n == 0 {
+		s.idle += m
+		return
+	}
+	q1, q2 := 1-1/m, 1-2/m
+	pairs := m * (m - 1)
+	eI := m * math.Pow(q1, n)
+	eS := n * math.Pow(q1, n-1)
+	s.idle += eI
+	s.single += eS
+	s.varIdle += eI - eI*eI + pairs*math.Pow(q2, n)
+	vS := eS - eS*eS
+	if n >= 2 {
+		vS += pairs * n * (n - 1) / (m * m) * math.Pow(q2, n-2)
+	}
+	s.varSingle += vS
+	s.cov += pairs*(n/m)*math.Pow(q2, n-1) - eI*eS
+}
+
+// TestSlotOccupancyOracle checks the window phase's slot histogram
+// against the closed form above: a probe sums the expected idle and
+// singleton counts from each round's recorded contender counts, and
+// the run's IdleSlots, SingletonSlots and CollisionSlots must each land
+// within 5 sigma of their sums. It covers every ALOHA preset (million
+// at 2^14 tags), the TDM stress scenario and every ALOHA example
+// scenario.
+func TestSlotOccupancyOracle(t *testing.T) {
+	scs := goldenScenarios(t)
+	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range examples {
+		sc, err := LoadScenario(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, sc)
+	}
+	seen := make(map[string]bool)
+	for _, sc := range scs {
+		sc.ApplyDefaults()
+		if sc.Readers.Policy != PolicyAloha || seen[sc.Name] {
+			continue
+		}
+		seen[sc.Name] = true
+		var tally slotTally
+		res, err := runProbed(sc, 1, func(e *engine, _ int) error {
+			m := float64(e.sc.ContentionWindow)
+			for ci := range e.activeCells {
+				tally.add(float64(e.cellContenders[ci]), m)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", sc.Name, err)
+		}
+		coll := tally.slots - tally.idle - tally.single
+		for _, c := range []struct {
+			what     string
+			got      int64
+			want, vr float64
+		}{
+			{"idle", res.IdleSlots, tally.idle, tally.varIdle},
+			{"singleton", res.SingletonSlots, tally.single, tally.varSingle},
+			{"collision", res.CollisionSlots, coll, tally.varIdle + tally.varSingle + 2*tally.cov},
+		} {
+			// Half a slot of slack absorbs rounding in the sums where
+			// every window is deterministic (zero variance).
+			tol := 5*math.Sqrt(max(c.vr, 0)) + 0.5
+			if d := float64(c.got) - c.want; math.Abs(d) > tol {
+				t.Errorf("%s: %d %s slots, closed form %.1f ± %.1f (5 sigma)", sc.Name, c.got, c.what, c.want, tol)
+			}
+		}
 	}
 }
