@@ -21,8 +21,8 @@
 // Overrides (-tags, -topology, -radius, -load, -protocol, -readers,
 // -scheduling, -mobility, -rateadapt, -faderho, -policy, -congestion,
 // -analytic) apply on top of the preset or file; everything else comes
-// from the scenario; a negative -tags, -radius, -load, -readers,
-// -mobility or -faderho exits 2.
+// from the scenario; a negative -tags or -readers, or a negative or
+// non-finite -radius, -load, -mobility or -faderho, exits 2.
 // Runs are deterministic: same scenario + seed, same output — at ANY
 // -workers count (sharding changes who computes, never what). The
 // resolved worker count goes to stderr so stdout stays byte-stable.
@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -81,21 +82,24 @@ func run() (code int) {
 		fmt.Fprintf(os.Stderr, "fdnet: -format %q: must be text or csv\n", *format)
 		return 2
 	}
-	// A negative override is a mistake, not a request for the
-	// scenario's value: reject it rather than silently dropping it.
-	// Only explicitly passed flags are checked, so -faderho's unset
-	// sentinel (-1) keeps meaning "no override".
+	// A negative or non-finite override is a mistake, not a request
+	// for the scenario's value: reject it rather than silently dropping
+	// it. NaN would otherwise slip past both this check and the "> 0"
+	// test that applies an override. Only explicitly passed flags are
+	// checked, so -faderho's unset sentinel (-1) keeps meaning "no
+	// override".
 	set := make(map[string]bool)
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	badFloat := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
 	for _, o := range []struct {
 		name string
-		neg  bool
+		bad  bool
 	}{
-		{"tags", *tags < 0}, {"radius", *radius < 0}, {"load", *load < 0},
-		{"readers", *readers < 0}, {"mobility", *mobility < 0}, {"faderho", *fadeRho < 0},
+		{"tags", *tags < 0}, {"radius", badFloat(*radius)}, {"load", badFloat(*load)},
+		{"readers", *readers < 0}, {"mobility", badFloat(*mobility)}, {"faderho", badFloat(*fadeRho)},
 	} {
-		if o.neg && set[o.name] {
-			fmt.Fprintf(os.Stderr, "fdnet: -%s %s: must not be negative\n", o.name, flag.Lookup(o.name).Value)
+		if o.bad && set[o.name] {
+			fmt.Fprintf(os.Stderr, "fdnet: -%s %s: must be finite and not negative\n", o.name, flag.Lookup(o.name).Value)
 			return 2
 		}
 	}

@@ -104,6 +104,74 @@ func TestLogDistanceGainMatchesPow(t *testing.T) {
 	}
 }
 
+// TestLogDistanceGainsMatchGain pins the batch kernel to Gain bit for
+// bit: 10^6 log-spaced distances per exponent, from inside the
+// near-field clamp out past the 2^60 ratio where the kernel falls back
+// to math.Pow, cut into batches of every length from 1 to 17 so each
+// pass meets every tail. Non-default reference and clamp distances,
+// exponents outside [1, 8] and non-finite distances are covered too.
+func TestLogDistanceGainsMatchGain(t *testing.T) {
+	const (
+		steps = 1_000_000
+		lo    = 0.01 // below the default 0.1 m clamp
+		hi    = 1e20 // d0/d = 1e-20 < 2^-60
+	)
+	d := make([]float64, 0, steps+8)
+	logLo, logStep := math.Log(lo), math.Log(hi/lo)/steps
+	for k := 0; k <= steps; k++ {
+		d = append(d, math.Exp(logLo+float64(k)*logStep))
+	}
+	d = append(d, 0, -1, 0.1, math.Nextafter(0.1, 0), 0x1p60, math.Inf(1), math.NaN())
+	dst := make([]float64, len(d))
+	ref := NewLogDistance(915e6, 2)
+	check := func(l LogDistance) {
+		for k, n := 0, 1; k < len(d); k, n = k+n, n%17+1 {
+			end := min(k+n, len(d))
+			l.GainsInto(dst[k:end], d[k:end])
+		}
+		for k, dk := range d {
+			if want := l.Gain(dk); math.Float64bits(dst[k]) != math.Float64bits(want) {
+				t.Fatalf("%+v d=%v: GainsInto %v, Gain %v", l, dk, dst[k], want)
+			}
+		}
+	}
+	for _, n := range []float64{1, 1.5, 2, 2.2, 2.5, 2.7, 3, 3.5, 4, 8} {
+		l := ref
+		l.Exponent = n
+		check(l)
+	}
+	check(LogDistance{RefGain: ref.RefGain, RefDistanceM: 2.5, MinDistanceM: 0.3, Exponent: 2.7})
+	check(LogDistance{RefGain: ref.RefGain, RefDistanceM: 0.5, MinDistanceM: 1e-3, Exponent: 3})
+	check(LogDistance{RefGain: ref.RefGain, Exponent: 0.5})
+	check(LogDistance{RefGain: ref.RefGain, Exponent: 9.5})
+}
+
+// BenchmarkGains compares eight readers' path loss per tag, the
+// million preset's shape, as a loop of scalar Gain calls and as one
+// GainsInto batch.
+func BenchmarkGains(b *testing.B) {
+	const readers, tags = 8, 1 << 12
+	l := NewLogDistance(915e6, 2.5)
+	src := simrand.New(1)
+	d := make([]float64, readers*tags)
+	for k := range d {
+		d[k] = 0.5 + 60*src.Float64()
+	}
+	dst := make([]float64, len(d))
+	b.Run("scalar", func(b *testing.B) {
+		for range b.N {
+			for k, dk := range d {
+				dst[k] = l.Gain(dk)
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for range b.N {
+			l.GainsInto(dst, d)
+		}
+	})
+}
+
 func TestFixedGain(t *testing.T) {
 	g := FixedGain(0.5)
 	if g.Gain(1) != 0.5 || g.Gain(100) != 0.5 {

@@ -74,22 +74,75 @@ func NewLogDistance(freqHz, n float64) LogDistance {
 
 // Gain implements PathLoss.
 func (l LogDistance) Gain(d float64) float64 {
-	min := l.MinDistanceM
+	min, d0, n := l.params()
+	return l.RefGain * powPathLoss(ratio(d, min, d0), n)
+}
+
+// params returns the clamp distance, reference distance and exponent
+// with their defaults applied.
+func (l LogDistance) params() (min, d0, n float64) {
+	min, d0, n = l.MinDistanceM, l.RefDistanceM, l.Exponent
 	if min <= 0 {
 		min = 0.1
 	}
-	if d < min {
-		d = min
-	}
-	d0 := l.RefDistanceM
 	if d0 <= 0 {
 		d0 = 1
 	}
-	n := l.Exponent
 	if n <= 0 {
 		n = 2
 	}
-	return l.RefGain * powPathLoss(d0/d, n)
+	return min, d0, n
+}
+
+// ratio returns d0/d with d clamped up to min.
+func ratio(d, min, d0 float64) float64 {
+	if d < min {
+		d = min
+	}
+	return d0 / d
+}
+
+// GainsInto sets dst[k] = l.Gain(d[k]) for every k, bit for bit; dst
+// must be at least as long as d. It performs each element's Gain
+// operations in the same order, but pass by pass over the whole batch:
+// every Log, then every Exp, then the integer-power products. A scalar
+// Gain is one dependent Log->Exp chain, so a loop of them leaves the
+// CPU waiting on latency; staged, the batch's independent chains
+// overlap. A ratio outside powPathLoss's fast domain falls back to it
+// element by element, and an exponent outside [1, 8] falls back to
+// Gain.
+func (l LogDistance) GainsInto(dst, d []float64) {
+	min, d0, n := l.params()
+	dst = dst[:len(d)]
+	if !powFast(n) {
+		for k, dk := range d {
+			dst[k] = l.Gain(dk)
+		}
+		return
+	}
+	yi, yf := powSplit(n)
+	if yf != 0 {
+		for k, dk := range d {
+			dst[k] = math.Log(ratio(dk, min, d0))
+		}
+		for k, lx := range dst {
+			dst[k] = math.Exp(yf * lx)
+		}
+	} else {
+		for k := range dst {
+			dst[k] = 1
+		}
+	}
+	// The ratios are cheap to recompute; the clamp and the division
+	// are exact.
+	for k, dk := range d {
+		x := ratio(dk, min, d0)
+		if x >= 0x1p-60 && x <= 0x1p60 {
+			dst[k] = l.RefGain * mulPow(dst[k], x, yi)
+		} else {
+			dst[k] = l.RefGain * powPathLoss(x, n)
+		}
+	}
 }
 
 // powPathLoss returns math.Pow(x, y), bit for bit, without pow's
@@ -105,20 +158,36 @@ func (l LogDistance) Gain(d float64) float64 {
 // exponent to [1, 8] and the MinDistanceM clamp bounds d0/d above. Any
 // other input takes math.Pow.
 func powPathLoss(x, y float64) float64 {
-	if !(y >= 1 && y <= 8 && x >= 0x1p-60 && x <= 0x1p60) {
+	if !(powFast(y) && x >= 0x1p-60 && x <= 0x1p60) {
 		return math.Pow(x, y)
 	}
-	// y >= 1, so y-yi is exact (Sterbenz) and equals Modf's fraction.
-	yi := int64(y)
-	yf := y - float64(yi)
+	yi, yf := powSplit(y)
 	a := 1.0
 	if yf != 0 {
-		if yf > 0.5 {
-			yf--
-			yi++
-		}
 		a = math.Exp(yf * math.Log(x))
 	}
+	return mulPow(a, x, yi)
+}
+
+// powFast reports whether exponent y is in powPathLoss's domain.
+func powFast(y float64) bool { return y >= 1 && y <= 8 }
+
+// powSplit folds an exponent y in [1, 8] into yi+yf with yf in
+// (-0.5, 0.5], as math.Pow does. y >= 1, so y-yi is exact (Sterbenz)
+// and equals Modf's fraction.
+func powSplit(y float64) (yi int64, yf float64) {
+	yi = int64(y)
+	yf = y - float64(yi)
+	if yf > 0.5 {
+		yf--
+		yi++
+	}
+	return yi, yf
+}
+
+// mulPow returns a*x^yi, multiplying in x^yi by repeated squaring in
+// math.Pow's order.
+func mulPow(a, x float64, yi int64) float64 {
 	for p := x; yi != 0; yi >>= 1 {
 		if yi&1 == 1 {
 			a *= p

@@ -943,10 +943,18 @@ func (e *engine) initShard(w *netWorker, lo, hi int) {
 }
 
 // deriveShard is the parallel body of deriveLinks for tags [lo, hi).
+// It walks the range in blocks of w.deriveBlock tags and runs each
+// stage over the whole block before the next: every reader distance,
+// then every path gain, then association and the noise floor, then
+// each transcendental output column. Each tag's value still comes from
+// the same operations in the same order as a one-tag-at-a-time loop;
+// staging only lets the CPU overlap the independent Hypot, Log and Exp
+// chains of different tags and readers instead of waiting out one
+// chain at a time.
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (e *engine) deriveShard(lo, hi int) {
+func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
 	R := len(e.readers)
@@ -958,62 +966,79 @@ func (e *engine) deriveShard(lo, hi int) {
 	if e.flt != nil {
 		downMask = e.flt.mask()
 	}
-	for i := lo; i < hi; i++ {
-		base := i * R
-		best, bestG := 0, -1.0
-		sumW := 0.0
-		px, py := t.pos[i].X, t.pos[i].Y
-		for r := 0; r < R; r++ {
-			g := e.pl.Gain(math.Hypot(px-e.readers[r].X, py-e.readers[r].Y))
-			if e.gains != nil {
-				e.gains[base+r] = g
-			}
-			if downMask != nil && downMask[r] {
-				continue
-			}
-			sumW += sc.TxPowerW * g
-			if g > bestG {
-				best, bestG = r, g
+	sqrtRho, sqrtTx := math.Sqrt(sc.Rho), math.Sqrt(sc.TxPowerW)
+	for b0 := lo; b0 < hi; b0 += w.deriveBlock {
+		nb := min(w.deriveBlock, hi-b0)
+		dist, gain := w.dist[:nb*R], w.gain[:nb*R]
+		bestG, noiseW, snrDB := w.bestG[:nb], w.noiseW[:nb], w.snrDB[:nb]
+		for j := range nb {
+			p := t.pos[b0+j]
+			for r, rp := range e.readers {
+				dist[j*R+r] = math.Hypot(p.X-rp.X, p.Y-rp.Y)
 			}
 		}
-		t.reader[i] = int32(best)
-		carrierW := sc.TxPowerW * bestG
-		t.harvestW[i] = sumW
-
-		// Inter-reader interference: under independent scheduling the
-		// other carriers leak through the channel isolation into this
-		// tag's noise floor every round. Under TDM neighbours are never
-		// active in the same epoch, so nothing is added.
-		noiseW := sc.NoiseW + e.couplingW*(sumW-carrierW)
-
+		e.pl.GainsInto(gain, dist)
+		for j := range nb {
+			i := b0 + j
+			best, bg := 0, -1.0
+			sumW := 0.0
+			for r, g := range gain[j*R : j*R+R] {
+				if e.gains != nil {
+					e.gains[i*R+r] = g
+				}
+				if downMask != nil && downMask[r] {
+					continue
+				}
+				sumW += sc.TxPowerW * g
+				if g > bg {
+					best, bg = r, g
+				}
+			}
+			t.reader[i] = int32(best)
+			t.harvestW[i] = sumW
+			bestG[j] = bg
+			carrierW := sc.TxPowerW * bg
+			// Inter-reader interference: under independent scheduling
+			// the other carriers leak through the channel isolation into
+			// this tag's noise floor every round. Under TDM neighbours
+			// are never active in the same epoch, so nothing is added.
+			noiseW[j] = sc.NoiseW + e.couplingW*(sumW-carrierW)
+			snrDB[j] = carrierW / noiseW[j] // linear; in dB after the next pass
+		}
+		for j, snr := range snrDB {
+			snrDB[j] = 10 * math.Log10(snr)
+		}
 		// Forward link: SNR at the tag sets the chunk-loss cliff exactly
 		// as the rate-adaptation channel model does.
-		snrDB := 10 * math.Log10(carrierW/noiseW)
-		lossP := rateadapt.ChunkLossProb(e.rate, snrDB)
+		for j, snr := range snrDB {
+			t.lossP[b0+j] = rateadapt.ChunkLossProb(e.rate, snr)
+		}
 		// Reverse link: the backscattered feedback rides a round-trip
 		// channel; its BER follows the Manchester decoder prediction with
 		// the same calibration as the waveform feedback experiments
 		// (normalised separation g*sqrt(rho), noise referred to the
 		// transmit envelope).
-		delta := bestG * math.Sqrt(sc.Rho)
-		sigma := math.Sqrt(noiseW/2) / math.Sqrt(sc.TxPowerW)
-		fbBER := feedback.ManchesterBER(delta, sigma, sc.FeedbackSamplesPerBit)
-
-		t.lossP[i] = lossP
-		t.fbBER[i] = fbBER
-		if e.fade != nil {
-			// Under rate adaptation a mobility epoch re-derives the
-			// fading MEAN; the small-scale Gauss-Markov state persists,
-			// so motion shifts the channel without resetting it.
-			e.fade.meanSNR[i] = snrDB
+		for j, bg := range bestG {
+			t.fbBER[b0+j] = feedback.ManchesterBER(bg*sqrtRho, math.Sqrt(noiseW[j]/2)/sqrtTx, sc.FeedbackSamplesPerBit)
 		}
-		ts := &t.stats[i]
-		ts.Reader = best
-		ts.X, ts.Y = px, py
-		ts.DistanceM = math.Hypot(px-e.readers[best].X, py-e.readers[best].Y)
-		ts.SNRdB = snrDB
-		ts.ChunkLossProb = lossP
-		ts.FeedbackBER = fbBER
+		for j, snr := range snrDB {
+			i := b0 + j
+			if e.fade != nil {
+				// Under rate adaptation a mobility epoch re-derives the
+				// fading MEAN; the small-scale Gauss-Markov state
+				// persists, so motion shifts the channel without
+				// resetting it.
+				e.fade.meanSNR[i] = snr
+			}
+			best := int(t.reader[i])
+			ts := &t.stats[i]
+			ts.Reader = best
+			ts.X, ts.Y = t.pos[i].X, t.pos[i].Y
+			ts.DistanceM = dist[j*R+best]
+			ts.SNRdB = snr
+			ts.ChunkLossProb = t.lossP[i]
+			ts.FeedbackBER = t.fbBER[i]
+		}
 	}
 }
 

@@ -286,6 +286,9 @@ func FuzzParseScenario(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	// An offered load past the int32 arrival count once ran and
+	// reported billions of frames; Validate now rejects it.
+	f.Add([]byte(`{"tags": 4, "offered_load": 3e9}`))
 	validate := func(sc Scenario) error {
 		sc.ApplyDefaults()
 		return sc.Validate()

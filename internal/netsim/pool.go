@@ -45,6 +45,11 @@ const (
 	phaseCong
 )
 
+// deriveBlockGains is the number of tag-reader gains deriveShard
+// stages per block: enough independent Log/Exp chains to keep the CPU
+// busy, few enough that the block's scratch stays in L1.
+const deriveBlockGains = 512
+
 // tagShardLen is the tag-range shard size for the per-tag phases:
 // large enough that the atomic claim is noise, small enough that a
 // million tags spread over every worker.
@@ -85,6 +90,12 @@ type netWorker struct {
 	// the top-ContentionWindow contenders by policy metric.
 	grantIdx    []int32
 	grantMetric []float64
+	// Derive-phase scratch for one block of deriveBlock tags
+	// (deriveShard): tag-major reader distances and gains, then each
+	// tag's best gain, noise floor and SNR.
+	deriveBlock          int
+	dist, gain           []float64
+	bestG, noiseW, snrDB []float64
 }
 
 type pool struct {
@@ -112,12 +123,24 @@ func (p *pool) start(e *engine, workers int) {
 	p.e = e
 	p.workers = make([]*netWorker, workers)
 	cw := e.sc.ContentionWindow
+	R := len(e.readers)
+	// Validate caps the reader count at 64, so a block holds at least
+	// 8 tags; a small run's scratch shrinks to its tag count.
+	block := max(1, deriveBlockGains/R)
+	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
 			lossSrc:   simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
 			protoSrc:  simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
 			params:    e.params,
 			slotCount: make([]int32, cw),
+
+			deriveBlock: block,
+			dist:        make([]float64, nb*R),
+			gain:        make([]float64, nb*R),
+			bestG:       make([]float64, nb),
+			noiseW:      make([]float64, nb),
+			snrDB:       make([]float64, nb),
 		}
 		w.iid = mac.NewIIDLossUsing(0, w.lossSrc)
 		w.fd.P = e.params
@@ -206,7 +229,7 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 			case phaseInit:
 				e.initShard(w, lo, hi)
 			case phaseDerive:
-				e.deriveShard(lo, hi)
+				e.deriveShard(w, lo, hi)
 			case phaseSettle:
 				e.settleShard(lo, hi)
 			case phaseDrain:

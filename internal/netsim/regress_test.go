@@ -5,6 +5,7 @@ package netsim
 // fails on the pre-fix engine.
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -141,6 +142,11 @@ func TestValidateBoundsRFParameters(t *testing.T) {
 		{"path loss exponent absurd", Scenario{PathLossExp: 12}, "path loss exponent"},
 		{"feedback window too small", Scenario{FeedbackSamplesPerBit: 1}, "feedback samples"},
 		{"feedback window absurd", Scenario{FeedbackSamplesPerBit: 1 << 24}, "feedback samples"},
+		// Above 2^31 the round's arrival count overflowed int32 and the
+		// run reported billions of offered frames.
+		{"offered load overflows", Scenario{OfferedLoad: 3e9}, "offered load"},
+		{"offered load NaN", Scenario{OfferedLoad: math.NaN()}, "offered load"},
+		{"offered load negative", Scenario{OfferedLoad: -0.5}, "offered load"},
 	}
 	for _, c := range cases {
 		_, err := Run(c.sc, 1)

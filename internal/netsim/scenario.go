@@ -95,7 +95,8 @@ type Scenario struct {
 	// OfferedLoad is zero.
 	FramesPerTag int `json:"frames_per_tag"`
 	// OfferedLoad, when positive, switches to open-loop traffic: mean
-	// new frames per tag per round (Poisson arrivals).
+	// new frames per tag per round (Poisson arrivals), at most 2^20 (the
+	// queue_cap bound: a tag can never hold more).
 	OfferedLoad float64 `json:"offered_load"`
 	// MaxRounds bounds the simulation (default 64).
 	MaxRounds int `json:"max_rounds"`
@@ -320,8 +321,10 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("netsim: %d tags x %d readers needs %d path-loss evaluations per epoch (cap %d)",
 			s.Tags, s.Readers.Count, s.Tags*s.Readers.Count, 1<<23)
 	}
-	if s.OfferedLoad < 0 {
-		return fmt.Errorf("netsim: offered load %g must be non-negative", s.OfferedLoad)
+	// A round's Poisson draw is counted in int32, and no tag can queue
+	// more than the queue_cap bound anyway; NaN fails every comparison.
+	if math.IsNaN(s.OfferedLoad) || s.OfferedLoad < 0 || s.OfferedLoad > 1<<20 {
+		return fmt.Errorf("netsim: offered load %g outside [0, %d]", s.OfferedLoad, 1<<20)
 	}
 	if s.AbortThreshold < 0 {
 		return fmt.Errorf("netsim: abort threshold %d must be non-negative", s.AbortThreshold)
