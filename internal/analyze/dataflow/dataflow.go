@@ -384,10 +384,13 @@ func IsIntegral(t types.Type) bool {
 // and type name, so corpus simrand shims qualify).
 func IsSource(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
+	return ok && IsSourceValue(ptr.Elem())
+}
+
+// IsSourceValue reports whether t is simrand.Source itself: a stream
+// held by value, whose every copy continues from the same position.
+func IsSourceValue(t types.Type) bool {
+	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}

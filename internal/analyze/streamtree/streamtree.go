@@ -13,13 +13,13 @@
 // operations — simrand.Mix64, integer arithmetic on seed values, and
 // package helpers that provably return seed-derived values (tracked as
 // object facts). Sources seeded from literals or ambient state are
-// flagged, as is storing one loop-invariant source value into
-// per-element storage (two tags or shards would then share — alias — a
-// single stream).
+// flagged, as is storing one loop-invariant source — pointer or value —
+// into per-element storage (two tags or shards would then share — alias
+// — a single stream, or draw identical copies of it).
 //
 // The escape hatch is //fdlint:stream-ok REASON on the offending line,
-// for sources that are provably re-seeded before every use (scratch
-// sources restored via SetState, per-window Reseed loops).
+// for sources that are provably re-seeded before every use (per-window
+// Reseed loops).
 package streamtree
 
 import (
@@ -297,9 +297,11 @@ func checkSeedCall(pass *analysis.Pass, af *annotate.File, ev *dataflow.Evaluato
 	}
 }
 
-// checkAliasStore flags storing a loop-invariant *simrand.Source value
-// into per-element storage: every element then shares one stream, so
-// two tags/shards draw from the same position — stream aliasing.
+// checkAliasStore flags storing a loop-invariant *simrand.Source into
+// per-element storage: every element then shares one stream, so two
+// tags/shards draw from the same position — stream aliasing. Copying a
+// loop-invariant simrand.Source value is the same defect: every element
+// starts at the same position and draws the same sequence.
 func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains, as *ast.AssignStmt, loops []ast.Stmt) {
 	if len(loops) == 0 || len(as.Lhs) != len(as.Rhs) {
 		return
@@ -310,8 +312,13 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 			continue
 		}
 		rhs := ast.Unparen(as.Rhs[i])
-		if !dataflow.IsSource(pass.TypesInfo.TypeOf(rhs)) {
+		byValue := dataflow.IsSourceValue(pass.TypesInfo.TypeOf(rhs))
+		if !byValue && !dataflow.IsSource(pass.TypesInfo.TypeOf(rhs)) {
 			continue
+		}
+		if star, ok := rhs.(*ast.StarExpr); ok && byValue {
+			// *base copies whatever stream base points at.
+			rhs = ast.Unparen(star.X)
 		}
 		switch v := rhs.(type) {
 		case *ast.Ident:
@@ -330,6 +337,11 @@ func checkAliasStore(pass *analysis.Pass, af *annotate.File, c *dataflow.Chains,
 			continue
 		}
 		if suppressed(pass, af, as) {
+			continue
+		}
+		if byValue {
+			pass.Reportf(as.Pos(),
+				"loop-invariant simrand.Source value copied into per-element storage: every element would draw the same sequence; seed each element with SetState from a Split or a seed-derived Reseed")
 			continue
 		}
 		pass.Reportf(as.Pos(),

@@ -14,6 +14,7 @@ type engine struct {
 	seed    uint64
 	src     *simrand.Source
 	tagSrc  []*simrand.Source
+	tagVal  []simrand.Source
 	columns [][]float64
 }
 
@@ -100,6 +101,34 @@ func (e *engine) perIterStore(n int) {
 	for i := 0; i < n; i++ {
 		s := simrand.New(laneStream(e.seed, uint64(i)))
 		e.tagSrc[i] = s
+	}
+}
+
+// valueAliasStore copies one loop-invariant source value into every
+// element: each copy starts at the same position, so every tag would
+// draw the same sequence.
+func (e *engine) valueAliasStore(n int) {
+	base := *simrand.New(e.seed)
+	for i := 0; i < n; i++ {
+		e.tagVal[i] = base // want `loop-invariant simrand.Source value copied into per-element storage`
+	}
+}
+
+// derefAliasStore copies through a loop-invariant pointer: the same
+// defect as valueAliasStore.
+func (e *engine) derefAliasStore(n int) {
+	for i := 0; i < n; i++ {
+		e.tagVal[i] = *e.src // want `loop-invariant simrand.Source value copied`
+	}
+}
+
+// valueSplitStore seeds every element in place from a fresh split of
+// the root: clean.
+func (e *engine) valueSplitStore(n int) {
+	root := simrand.New(e.seed)
+	for i := 0; i < n; i++ {
+		e.tagVal[i].SetState(root.Uint64(), root.Uint64())
+		e.tagVal[i+n] = *root.Split()
 	}
 }
 

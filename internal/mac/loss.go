@@ -25,28 +25,28 @@ type Loss interface {
 	Idle(n int)
 }
 
-// IIDLoss loses each chunk independently with probability P.
+// IIDLoss loses each chunk independently with probability P, drawing
+// from Src. An engine that stores its streams inline may repoint Src
+// at the stream of whichever entity is transmitting.
 type IIDLoss struct {
 	P   float64
-	src *simrand.Source
+	Src *simrand.Source
 }
 
 // NewIIDLoss returns an iid chunk loss process.
 func NewIIDLoss(p float64, src *simrand.Source) *IIDLoss {
-	return &IIDLoss{P: p, src: src.Split()}
+	return &IIDLoss{P: p, Src: src.Split()}
 }
 
 // NewIIDLossUsing returns an iid chunk loss process drawing directly
-// from src, without splitting a child off it. For engines that manage
-// per-entity stream state themselves (netsim loads a tag's saved stream
-// into a worker's scratch Source around each exchange), the split would
-// discard the loaded state.
+// from src, without splitting a child off it. Kept for perfbench's MAC
+// probe, which replays a fixed stream; netsim sets Src itself.
 func NewIIDLossUsing(p float64, src *simrand.Source) *IIDLoss {
-	return &IIDLoss{P: p, src: src}
+	return &IIDLoss{P: p, Src: src}
 }
 
 // Chunk implements Loss.
-func (l *IIDLoss) Chunk() bool { return l.src.Bool(l.P) }
+func (l *IIDLoss) Chunk() bool { return l.Src.Bool(l.P) }
 
 // Idle implements Loss (memoryless: nothing to advance).
 func (l *IIDLoss) Idle(int) {}

@@ -63,7 +63,7 @@ const pendEps = 1e-9
 // analyticFrame replaces runFrame (plus the fade airtime correction) in
 // analytic mode. Stream discipline matches the exact path: exactly one
 // draw from the tag's loss stream per singleton slot.
-func (e *engine) analyticFrame(w *netWorker, i int32) mac.Result {
+func (e *engine) analyticFrame(i int32) mac.Result {
 	t := &e.tags
 	p := t.lossP[i]
 	chunkAirF := float64(e.chunkAir)
@@ -128,9 +128,7 @@ func (e *engine) analyticFrame(w *netWorker, i int32) mac.Result {
 		pDeliver = math.Pow(1-math.Pow(p, float64(A)), float64(n))
 	}
 
-	w.lossSrc.SetState(t.lossHi[i], t.lossLo[i])
-	delivered := w.lossSrc.Bool(pDeliver)
-	t.lossHi[i], t.lossLo[i] = w.lossSrc.State()
+	delivered := t.loss[i].Bool(pDeliver)
 
 	if f != nil {
 		ci := int64(math.Round(chunkTx))

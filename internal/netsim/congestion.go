@@ -242,18 +242,16 @@ func (c *congState) rtoEff(i int) float64 {
 
 // backoffDelay draws tag i's next retx re-admission delay: the
 // backed-off RTO stretched by up to JitterFrac, with the jitter drawn
-// from the tag's existing seeded protocol stream (loaded through the
-// worker's scratch source exactly like runFrame's full-duplex seed
-// draw), so delays desynchronise deterministically.
+// from the tag's existing seeded protocol stream (the one runFrame's
+// full-duplex seed draw uses), so delays desynchronise
+// deterministically.
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (c *congState) backoffDelay(w *netWorker, t *tagState, i int) float64 {
+func (c *congState) backoffDelay(t *tagState, i int) float64 {
 	d := c.rtoEff(i)
 	if c.jitter > 0 {
-		w.protoSrc.SetState(t.protoHi[i], t.protoLo[i])
-		d *= 1 + c.jitter*w.protoSrc.Float64()
-		t.protoHi[i], t.protoLo[i] = w.protoSrc.State()
+		d *= 1 + c.jitter*t.proto[i].Float64()
 	}
 	return d
 }
@@ -264,14 +262,14 @@ func (c *congState) backoffDelay(w *netWorker, t *tagState, i int) float64 {
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (c *congState) park(w *netWorker, t *tagState, i, round int) {
+func (c *congState) park(t *tagState, i, round int) {
 	if c.retxQ[i] >= c.retxCap {
 		t.stats[i].FramesDropped++
 		c.retxDrops[i]++
 		return
 	}
 	if c.retxQ[i] == 0 {
-		c.retxAt[i] = float64(round) + c.backoffDelay(w, t, i)
+		c.retxAt[i] = float64(round) + c.backoffDelay(t, i)
 	}
 	c.retxQ[i]++
 }
@@ -378,7 +376,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 				// nothing is parked; stale service just ends.
 				if t.queue[i] > 0 {
 					t.queue[i]--
-					c.park(w, t, i, round)
+					c.park(t, i, round)
 				}
 			}
 			continue
@@ -393,7 +391,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 			// backed-off, jittered retransmission, sit out this round.
 			c.lossEvent(i, round)
 			t.queue[i]--
-			c.park(w, t, i, round)
+			c.park(t, i, round)
 			continue
 		}
 		if c.retxQ[i] > 0 {
@@ -404,7 +402,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 				t.queue[i]++
 				c.retxCount[i]++
 				if c.retxQ[i] > 0 {
-					c.retxAt[i] = float64(round) + c.backoffDelay(w, t, i)
+					c.retxAt[i] = float64(round) + c.backoffDelay(t, i)
 				}
 				c.inServ[i] = true
 				c.isRetx[i] = true

@@ -87,12 +87,13 @@ type tagState struct {
 	// Per-round accumulators for energy accounting.
 	txCount []int32   // frames transmitted this round
 	txDt    []float64 // seconds spent transmitting this round
-	// Per-tag PCG stream state stored inline (hi, lo words) and loaded
-	// into a worker's scratch Source around each use — the same streams
-	// the array-of-structs engine held as one *simrand.Source per tag.
-	lossHi, lossLo   []uint64
-	protoHi, protoLo []uint64
-	stats            []TagStats
+	// Per-tag random streams stored inline and drawn in place — the
+	// same streams the array-of-structs engine held as one
+	// *simrand.Source per tag: forward chunk loss, and the protocol
+	// stream (full-duplex seeds, congestion jitter).
+	loss  []simrand.Source
+	proto []simrand.Source
+	stats []TagStats
 }
 
 func newTagState(n int) tagState {
@@ -107,10 +108,8 @@ func newTagState(n int) tagState {
 		alive:    make([]bool, n),
 		txCount:  make([]int32, n),
 		txDt:     make([]float64, n),
-		lossHi:   make([]uint64, n),
-		lossLo:   make([]uint64, n),
-		protoHi:  make([]uint64, n),
-		protoLo:  make([]uint64, n),
+		loss:     make([]simrand.Source, n),
+		proto:    make([]simrand.Source, n),
 		stats:    make([]TagStats, n),
 	}
 }
@@ -589,11 +588,10 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	t.pos = positions
 	// The only serial part of per-tag setup is the root draw order: two
 	// words per tag, in tag index order — the exact root sequence of the
-	// serial engine. Park them in the loss-stream columns; initShard
-	// expands each pair into the tag's full stream tree in parallel.
+	// serial engine. Park them as the tag's loss stream; initShard
+	// expands each into the tag's full stream tree in parallel.
 	for i := 0; i < sc.Tags; i++ {
-		t.lossHi[i] = root.Uint64()
-		t.lossLo[i] = root.Uint64()
+		t.loss[i].SetState(root.Uint64(), root.Uint64())
 	}
 	if sc.RateAdapt.enabled() {
 		// The fading streams are hashed off the run seed, not split
@@ -908,8 +906,8 @@ func (e *engine) deriveLinks() {
 
 // initShard is the parallel body of per-tag setup for tags [lo, hi):
 // stored energy, queue preload, stream-seed expansion, and the fade
-// row. Each tag's state is a pure function of the two root words parked
-// in its loss columns (plus the scenario), so the result is identical
+// row. Each tag's state is a pure function of the root stream parked
+// in its loss slot (plus the scenario), so the result is identical
 // however the ranges are sharded. Stats fields are assigned
 // individually — the fresh slices are already zero, so whole-struct
 // literals would only re-clear memory the allocator cleared.
@@ -919,25 +917,24 @@ func (e *engine) deriveLinks() {
 func (e *engine) initShard(w *netWorker, lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
-	// seedSrc replays the per-tag split sequence of the array-of-structs
-	// engine draw for draw: root.Split() made the tag source (its state
-	// is the two root words), NewIIDLoss split the loss stream off it,
-	// and a second split made the protocol stream.
-	seedSrc := w.lossSrc
 	startJ, _, _ := e.budget.State()
 	for i := lo; i < hi; i++ {
 		t.alive[i] = true
 		t.energyJ[i] = startJ
 		t.stats[i].ID = i
-		seedSrc.SetState(t.lossHi[i], t.lossLo[i])
-		t.lossHi[i], t.lossLo[i] = seedSrc.Uint64(), seedSrc.Uint64()
-		t.protoHi[i], t.protoLo[i] = seedSrc.Uint64(), seedSrc.Uint64()
+		// Replay the per-tag split sequence of the array-of-structs
+		// engine draw for draw: root.Split() made the tag source (the
+		// parked root stream), NewIIDLoss split the loss stream off
+		// it, and a second split made the protocol stream.
+		tag := t.loss[i]
+		t.loss[i].SetState(tag.Uint64(), tag.Uint64())
+		t.proto[i].SetState(tag.Uint64(), tag.Uint64())
 		if sc.OfferedLoad == 0 {
 			t.queue[i] = int32(sc.FramesPerTag)
 			t.stats[i].FramesOffered = sc.FramesPerTag
 		}
 		if e.fade != nil {
-			e.fade.initRow(i, seedSrc)
+			e.fade.initRow(i)
 		}
 	}
 }
@@ -1139,8 +1136,8 @@ func (e *engine) drainShard(lo, hi int) {
 }
 
 // runFrame pushes one frame of tag i through the scenario's MAC
-// protocol on worker w's reused protocol instances, loading the tag's
-// stream state into the worker's scratch sources around the exchange.
+// protocol on worker w's reused protocol instances, drawing from the
+// tag's inline streams in place.
 // Full duplex draws a fresh seed per transmission so feedback-decoding
 // randomness is independent across frames (the protocol reseeds its
 // internal source on every Run call). Part of the round loop guarded by
@@ -1150,7 +1147,7 @@ func (e *engine) drainShard(lo, hi int) {
 //fdlint:noalloc
 func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 	t := &e.tags
-	w.lossSrc.SetState(t.lossHi[i], t.lossLo[i])
+	w.iid.Src = &t.loss[i]
 	w.iid.P = t.lossP[i]
 	extraP := 0.0
 	if f := e.flt; f != nil {
@@ -1162,7 +1159,7 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 			w.iid.P += (1 - w.iid.P) * extraP
 		}
 	}
-	var loss mac.Loss = w.iid
+	var loss mac.Loss = &w.iid
 	if e.fade != nil {
 		w.fv.bind(int(i))
 		w.fv.beginFrame()
@@ -1179,13 +1176,10 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 		w.ba.P = w.params
 		mr = w.ba.Run(1, loss)
 	default:
-		w.protoSrc.SetState(t.protoHi[i], t.protoLo[i])
 		w.fd.P = w.params
-		w.fd.Seed = w.protoSrc.Uint64()
-		t.protoHi[i], t.protoLo[i] = w.protoSrc.State()
+		w.fd.Seed = t.proto[i].Uint64()
 		mr = w.fd.Run(1, loss)
 	}
-	t.lossHi[i], t.lossLo[i] = w.lossSrc.State()
 	return mr
 }
 
@@ -1286,7 +1280,7 @@ func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32)
 	var mr mac.Result
 	var elapsed, air int64
 	if e.analytic {
-		mr = e.analyticFrame(w, i)
+		mr = e.analyticFrame(i)
 		elapsed, air = mr.ElapsedBytes, mr.AirtimeBytes
 	} else {
 		mr = e.runFrame(w, i)
@@ -1319,7 +1313,7 @@ func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32)
 		// the retx queue under multiplicative decrease and backoff
 		// instead of hammering the cell again next round.
 		c.lossEvent(int(i), e.curRound)
-		c.park(w, t, int(i), e.curRound)
+		c.park(t, int(i), e.curRound)
 	} else {
 		// Undelivered after MaxAttempts: re-queue for a later
 		// round (unless the open-loop queue refilled).

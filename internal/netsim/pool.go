@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/mac"
-	"repro/internal/simrand"
 )
 
 // phaseKind names the parallel phases of the round loop.
@@ -67,17 +66,13 @@ type cellAcc struct {
 	_              [2]int64
 }
 
-// netWorker is one worker's scratch: reused protocol instances, the
-// sources per-tag stream state is loaded into, and the slot histogram
-// for whichever cell the worker is executing. Everything here is
-// allocated once at pool start.
+// netWorker is one worker's scratch: reused protocol instances and the
+// slot histogram for whichever cell the worker is executing.
+// Everything here is allocated once at pool start.
 type netWorker struct {
-	// lossSrc and protoSrc are stream-loading scratch: SetState with a
-	// tag's inline words before use, State back after.
-	lossSrc  *simrand.Source
-	protoSrc *simrand.Source
-	iid      *mac.IIDLoss
-	fv       fadeView
+	// iid is pointed at the serving tag's loss stream per frame.
+	iid mac.IIDLoss
+	fv  fadeView
 	// params is the worker's copy of the shared MAC dimensions;
 	// FeedbackBER is written per frame.
 	params mac.Params
@@ -130,8 +125,6 @@ func (p *pool) start(e *engine, workers int) {
 	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
-			lossSrc:   simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
-			protoSrc:  simrand.New(0), //fdlint:stream-ok scratch; SetState-restored from the tag's stream words before every draw
 			params:    e.params,
 			slotCount: make([]int32, cw),
 
@@ -142,11 +135,10 @@ func (p *pool) start(e *engine, workers int) {
 			noiseW:      make([]float64, nb),
 			snrDB:       make([]float64, nb),
 		}
-		w.iid = mac.NewIIDLossUsing(0, w.lossSrc)
 		w.fd.P = e.params
 		w.fd.Prime()
 		if e.fade != nil {
-			w.fv.init(e, w.iid)
+			w.fv.init(e, &w.iid)
 		}
 		if e.sched != nil {
 			w.grantIdx = make([]int32, 0, cw)

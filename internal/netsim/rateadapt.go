@@ -157,10 +157,10 @@ func fadeSeed(seed uint64, tag int) uint64 {
 
 // fadeState is the closed-loop adaptation state for every tag, stored
 // as parallel columns like tagState: the Gauss-Markov coefficient and
-// its cached gain, the per-tag fading stream state (inline PCG words),
-// the adapter's mutable state, and the whole-run accumulators that
-// drain into TagStats. A worker binds a fadeView over one tag's row for
-// the duration of a MAC exchange; the binding worker (the tag's cell
+// its cached gain, the per-tag fading stream (stored inline), the
+// adapter's mutable state, and the whole-run accumulators that drain
+// into TagStats. A worker binds a fadeView over one tag's row for the
+// duration of a MAC exchange; the binding worker (the tag's cell
 // owner) is the only goroutine that touches the row, so no
 // synchronisation is needed.
 type fadeState struct {
@@ -175,9 +175,8 @@ type fadeState struct {
 	meanSNR []float64
 	h       []complex128
 	gainDB  []float64
-	// fadeHi/fadeLo hold each tag's fading stream state inline, loaded
-	// into a worker's scratch Source around each exchange.
-	fadeHi, fadeLo []uint64
+	// fadeSrc holds each tag's fading stream, drawn in place.
+	fadeSrc []simrand.Source
 
 	// policy is the adapter configuration every tag shares, in its
 	// initial state; each worker's fadeView runs a copy of it. Per tag
@@ -216,8 +215,7 @@ func newFadeState(spec RateAdaptSpec, n int, seed uint64) *fadeState {
 		meanSNR:    make([]float64, n),
 		h:          make([]complex128, n),
 		gainDB:     make([]float64, n),
-		fadeHi:     make([]uint64, n),
-		fadeLo:     make([]uint64, n),
+		fadeSrc:    make([]simrand.Source, n),
 		prevRate:   make([]int32, n),
 		chunks:     make([]int64, n),
 		switches:   make([]int64, n),
@@ -243,16 +241,15 @@ func newFadeState(spec RateAdaptSpec, n int, seed uint64) *fadeState {
 // initRow fills tag i's adaptation row: the fading stream, seeded by
 // fadeSeed exactly as the per-tag fadingLoss sources were, so the draw
 // sequences are unchanged. The adapter state columns start at zero,
-// which is a fresh adapter's state. scratch is the calling worker's
-// reusable Source.
-func (f *fadeState) initRow(i int, scratch *simrand.Source) {
-	scratch.Reseed(fadeSeed(f.seed, i))
+// which is a fresh adapter's state.
+func (f *fadeState) initRow(i int) {
+	src := &f.fadeSrc[i]
+	src.Reseed(fadeSeed(f.seed, i))
 	if f.rho > 0 {
-		h := scratch.RayleighCoeff(1)
+		h := src.RayleighCoeff(1)
 		f.h[i] = h
 		f.gainDB[i] = rateadapt.FadeGainDB(h)
 	}
-	f.fadeHi[i], f.fadeLo[i] = scratch.State()
 	f.prevRate[i] = f.initRate
 }
 
@@ -278,20 +275,19 @@ func (f *fadeState) oracleRate(snrDB float64) int {
 // ACK/NACK feeds the adapter back (per chunk for fd, ignored by
 // fixed/arf).
 //
-// The loss draw itself rides the tag's loss stream (already loaded into
-// the worker's iid scratch by runFrame; the probability is rewritten
+// The loss draw itself rides the tag's loss stream (the worker's iid
+// is already pointed at it by runFrame; the probability is rewritten
 // before each draw), so with FadeRho = 0 and a single 1x rate at the
 // scenario cliff the draw sequence — and therefore the whole run — is
 // bit-for-bit the static engine's. The fading and feedback-flip draws
 // come from the tag's dedicated fade stream and are only consumed when
 // fading (rho > 0) or fd feedback is in play.
 type fadeView struct {
-	f       *fadeState
-	t       *tagState
-	iid     *mac.IIDLoss // the owning worker's loss scratch
-	fadeSrc *simrand.Source
-	rates   []rateadapt.RateSpec
-	rho     float64
+	f     *fadeState
+	t     *tagState
+	iid   *mac.IIDLoss // the owning worker's loss scratch
+	rates []rateadapt.RateSpec
+	rho   float64
 	// adapter is the worker's policy instance, set once by init: &arf
 	// or &fdp (a copy of the shared configuration) with the bound tag's
 	// state loaded, or the shared stateless fixed policy.
@@ -299,13 +295,9 @@ type fadeView struct {
 	arf     rateadapt.ARF
 	fdp     rateadapt.FullDuplex
 
-	// Bound-row cache, loaded by bind and written back by unbind.
-	i        int
-	meanSNR  float64
-	fbBER    float64
-	h        complex128
-	gainDB   float64
-	prevRate int
+	// i is the bound tag; fadeSrc points at its fading stream.
+	i       int
+	fadeSrc *simrand.Source
 	// extraP is the cell's interference-burst loss for the current
 	// frame (set by runFrame after bind; 0 with faults disabled),
 	// composed into every chunk's loss probability.
@@ -324,7 +316,6 @@ func (v *fadeView) init(e *engine, iid *mac.IIDLoss) {
 	v.f = e.fade
 	v.t = &e.tags
 	v.iid = iid
-	v.fadeSrc = simrand.New(0) //fdlint:stream-ok scratch; Reseed(fadeSeed(seed, i)) re-roots it per tag before use
 	v.rates = e.fade.rates
 	v.rho = e.fade.rho
 	switch a := e.fade.policy.(type) {
@@ -339,32 +330,23 @@ func (v *fadeView) init(e *engine, iid *mac.IIDLoss) {
 	}
 }
 
-// bind loads tag i's row into the view's scratch.
+// bind points the view at tag i's row and loads its adapter state.
 func (v *fadeView) bind(i int) {
 	f := v.f
 	v.i = i
-	v.fadeSrc.SetState(f.fadeHi[i], f.fadeLo[i])
-	v.h = f.h[i]
-	v.gainDB = f.gainDB[i]
-	v.meanSNR = f.meanSNR[i]
-	v.fbBER = v.t.fbBER[i]
+	v.fadeSrc = &f.fadeSrc[i]
 	switch {
 	case f.badRun != nil:
 		v.arf.SetState(int(f.rateIdx[i]), int(f.goodRun[i]), int(f.badRun[i]))
 	case f.rateIdx != nil:
 		v.fdp.SetState(int(f.rateIdx[i]), int(f.goodRun[i]))
 	}
-	v.prevRate = int(f.prevRate[i])
 	v.extraP = 0
 }
 
-// unbind writes the mutated row state back.
+// unbind writes the adapter's mutated state back to the row.
 func (v *fadeView) unbind() {
 	f, i := v.f, v.i
-	f.fadeHi[i], f.fadeLo[i] = v.fadeSrc.State()
-	f.h[i] = v.h
-	f.gainDB[i] = v.gainDB
-	f.prevRate[i] = int32(v.prevRate)
 	switch {
 	case f.badRun != nil:
 		idx, good, bad := v.arf.State()
@@ -390,8 +372,9 @@ func (v *fadeView) advance() {
 	if v.rho == 0 {
 		return
 	}
-	v.h = rateadapt.FadeStep(v.h, v.rho, v.fadeSrc)
-	v.gainDB = rateadapt.FadeGainDB(v.h)
+	f, i := v.f, v.i
+	f.h[i] = rateadapt.FadeStep(f.h[i], v.rho, v.fadeSrc)
+	f.gainDB[i] = rateadapt.FadeGainDB(f.h[i])
 }
 
 // beginFrame resets the per-frame accumulators before a MAC exchange.
@@ -404,12 +387,12 @@ func (v *fadeView) Chunk() bool {
 	v.advance()
 	ri := v.adapter.Rate()
 	f, i := v.f, v.i
-	if ri != v.prevRate {
+	if int32(ri) != f.prevRate[i] {
 		f.switches[i]++
-		v.prevRate = ri
+		f.prevRate[i] = int32(ri)
 	}
 	r := v.rates[ri]
-	snr := v.meanSNR + v.gainDB
+	snr := f.meanSNR[i] + f.gainDB[i]
 	p := rateadapt.ChunkLossProb(r, snr)
 	if v.extraP > 0 {
 		p += (1 - p) * v.extraP
@@ -431,7 +414,7 @@ func (v *fadeView) Chunk() bool {
 	}
 
 	fb := !lostChunk
-	if f.fdFB && v.fbBER > 0 && v.fadeSrc.Bool(v.fbBER) {
+	if ber := v.t.fbBER[i]; f.fdFB && ber > 0 && v.fadeSrc.Bool(ber) {
 		fb = !fb
 	}
 	v.adapter.OnChunk(fb)

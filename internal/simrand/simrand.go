@@ -1,33 +1,32 @@
 // Package simrand provides the deterministic random sources and
 // distributions used across the simulator: Gaussian noise, Rayleigh and
-// Rician fading draws, exponential/Poisson event processes, and a
-// Gilbert-Elliott two-state burst-loss channel.
+// Rician fading draws, Poisson event counts, and a Gilbert-Elliott
+// two-state burst-loss channel.
 //
 // Every experiment takes an explicit seed so results reproduce exactly.
 // The underlying generator is PCG from math/rand/v2.
 package simrand
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand/v2"
 )
 
 // Source is a deterministic random source with the distribution helpers
-// the simulator needs. It is not safe for concurrent use; give each
+// the simulator needs. It holds its PCG by value: 16 bytes, comparable,
+// and a copy continues the stream from the same position, so an engine
+// that owns millions of streams can store them inline in a []Source and
+// draw from each in place. It is not safe for concurrent use; give each
 // goroutine its own Source (use Split).
 type Source struct {
-	rng *rand.Rand
-	pcg *rand.PCG
-	// stateBuf backs State's marshal call so capturing stream state
-	// stays allocation-free on hot paths.
-	stateBuf [20]byte
+	pcg rand.PCG
 }
 
 // New returns a Source seeded deterministically from seed.
 func New(seed uint64) *Source {
-	pcg := rand.NewPCG(seed, seed^0x9e3779b97f4a7c15)
-	return &Source{rng: rand.New(pcg), pcg: pcg}
+	s := new(Source)
+	s.Reseed(seed)
+	return s
 }
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche over uint64,
@@ -54,27 +53,15 @@ func (s *Source) Reseed(seed uint64) {
 // deterministic function of the parent state, so seeding the parent fixes
 // the whole tree.
 func (s *Source) Split() *Source {
-	pcg := rand.NewPCG(s.rng.Uint64(), s.rng.Uint64())
-	return &Source{rng: rand.New(pcg), pcg: pcg}
+	c := new(Source)
+	c.SetState(s.pcg.Uint64(), s.pcg.Uint64())
+	return c
 }
 
-// State captures the source's exact PCG state as two words, so engines
-// that own millions of streams can store each stream inline in flat
-// slices and load it into one scratch Source around use (SetState).
-// Allocation-free.
-func (s *Source) State() (hi, lo uint64) {
-	// The PCG binary encoding is "pcg:" followed by the two state words
-	// big-endian; there is no exported accessor for the words themselves.
-	b, err := s.pcg.AppendBinary(s.stateBuf[:0])
-	if err != nil || len(b) != 20 {
-		panic("simrand: unexpected PCG state encoding")
-	}
-	return binary.BigEndian.Uint64(b[4:12]), binary.BigEndian.Uint64(b[12:20])
-}
-
-// SetState restores a state captured by State: the source continues the
-// saved stream exactly. PCG.Seed stores its arguments as the raw state
-// words, so a (hi, lo) pair also reproduces Split's NewPCG(a, b) child.
+// SetState sets the two PCG state words: the source then draws the
+// stream of the Split child built from the same two words. This is how
+// an engine seeds a stream stored inline (a parked root, a split child)
+// without allocating a Source for it.
 func (s *Source) SetState(hi, lo uint64) {
 	s.pcg.Seed(hi, lo)
 }
@@ -94,7 +81,7 @@ func (s *Source) Float64() float64 { return s.f64() }
 func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Source) IntN(n int) int { return s.rng.IntN(n) }
+func (s *Source) IntN(n int) int { return rand.New(&s.pcg).IntN(n) }
 
 // Bit returns 0 or 1 with equal probability.
 func (s *Source) Bit() byte { return byte(s.pcg.Uint64() & 1) }
@@ -147,15 +134,6 @@ func (s *Source) RicianCoeff(power, k float64) complex128 {
 	return complex(los*math.Cos(phase), los*math.Sin(phase)) + scatter
 }
 
-// Exp returns an exponential draw with the given mean. It panics if mean
-// is not positive.
-func (s *Source) Exp(mean float64) float64 {
-	if mean <= 0 {
-		panic("simrand: exponential mean must be positive")
-	}
-	return s.rng.ExpFloat64() * mean
-}
-
 // Poisson returns a Poisson draw with the given mean (Knuth's algorithm
 // for small means, normal approximation above 30).
 func (s *Source) Poisson(mean float64) int {
@@ -181,9 +159,9 @@ func (s *Source) Poisson(mean float64) int {
 	}
 }
 
-// Perm fills dst with a random permutation of [0, n).
+// Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int {
-	return s.rng.Perm(n)
+	return rand.New(&s.pcg).Perm(n)
 }
 
 // FillNoise adds circularly-symmetric complex Gaussian noise of the given
@@ -193,7 +171,7 @@ func (s *Source) FillNoise(x []complex128, power float64) {
 		return
 	}
 	sigma := math.Sqrt(power / 2)
-	pcg := s.pcg
+	pcg := &s.pcg
 	for i := range x {
 		// Two manually inlined ziggurat fast paths (see ziggurat.go);
 		// the rejection tail falls back to normSlow. Stream-identical

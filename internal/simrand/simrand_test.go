@@ -3,6 +3,7 @@ package simrand
 import (
 	"math"
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -140,27 +141,6 @@ func TestRicianNegativeKClamped(t *testing.T) {
 	if math.IsNaN(real(h)) || math.IsNaN(imag(h)) {
 		t.Fatal("negative K must be clamped, not NaN")
 	}
-}
-
-func TestExpMean(t *testing.T) {
-	s := New(29)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += s.Exp(5)
-	}
-	if got := sum / n; math.Abs(got-5) > 0.1 {
-		t.Fatalf("mean = %g, want 5", got)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(1).Exp(0)
 }
 
 func TestPoissonMean(t *testing.T) {
@@ -333,7 +313,37 @@ func TestFastPathsMatchMathRand(t *testing.T) {
 					t.Fatalf("seed %d draw %d: Bit = %v, want %v", seed, i, got, want)
 				}
 			}
+			if i%100 != 99 {
+				continue
+			}
+			// The per-call rand.Rand wrappers (IntN, Perm) and Split
+			// must consume the shared PCG exactly as the reference does.
+			for _, n := range []int{1, 3, 64, 1000, 1 << 33} {
+				if got, want := src.IntN(n), ref.IntN(n); got != want {
+					t.Fatalf("seed %d draw %d: IntN(%d) = %d, want %d", seed, i, n, got, want)
+				}
+			}
+			if got, want := src.Perm(17), ref.Perm(17); !slices.Equal(got, want) {
+				t.Fatalf("seed %d draw %d: Perm(17) = %v, want %v", seed, i, got, want)
+			}
+			child := src.Split()
+			refChild := rand.New(rand.NewPCG(ref.Uint64(), ref.Uint64()))
+			if got, want := child.Uint64(), refChild.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Split child = %#x, want %#x", seed, i, got, want)
+			}
 		}
+	}
+}
+
+// New and Split build exactly one 16-byte Source each: the PCG lives
+// inside it, not behind further pointers.
+func TestNewSplitAllocs(t *testing.T) {
+	var sink *Source
+	if n := testing.AllocsPerRun(100, func() { sink = New(5) }); n != 1 {
+		t.Fatalf("New: %v allocs, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = sink.Split() }); n != 1 {
+		t.Fatalf("Split: %v allocs, want 1", n)
 	}
 }
 

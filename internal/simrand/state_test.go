@@ -2,9 +2,11 @@ package simrand
 
 import "testing"
 
-// State/SetState must be an exact stream capture: a restored source
-// continues the original draw sequence word for word, across every
-// distribution helper (they all consume the same underlying PCG).
+// A Source is its PCG state by value, so a copy is an exact stream
+// capture: it continues the original draw sequence word for word,
+// across every distribution helper (they all consume the same
+// underlying PCG), and advancing the copy leaves the original where it
+// was.
 func TestStateRoundTrip(t *testing.T) {
 	src := New(42)
 	for i := 0; i < 17; i++ {
@@ -12,26 +14,18 @@ func TestStateRoundTrip(t *testing.T) {
 		src.Float64()
 		src.Normal()
 	}
-	hi, lo := src.State()
-
-	clone := New(0)
-	clone.SetState(hi, lo)
+	clone := *src
 	for i := 0; i < 100; i++ {
 		if a, b := src.Uint64(), clone.Uint64(); a != b {
-			t.Fatalf("draw %d: original %#x, restored clone %#x", i, a, b)
+			t.Fatalf("draw %d: original %#x, copy %#x", i, a, b)
 		}
 	}
-}
-
-// Capturing state must not perturb it: State is a pure read.
-func TestStateIsPureRead(t *testing.T) {
-	a, b := New(7), New(7)
-	a.State()
-	a.State()
-	for i := 0; i < 20; i++ {
-		if x, y := a.Uint64(), b.Uint64(); x != y {
-			t.Fatalf("draw %d diverged after State calls: %#x vs %#x", i, x, y)
-		}
+	if clone != *src {
+		t.Fatal("a copy advanced in lockstep must equal the original")
+	}
+	clone.Uint64()
+	if clone == *src {
+		t.Fatal("advancing a copy must not advance the original")
 	}
 }
 
@@ -44,8 +38,11 @@ func TestSetStateMatchesSplit(t *testing.T) {
 	child := parent.Split()
 	w1, w2 := mirror.Uint64(), mirror.Uint64()
 
-	manual := New(0)
+	var manual Source
 	manual.SetState(w1, w2)
+	if manual != *child {
+		t.Fatal("SetState(w1, w2) must equal the Split child by value")
+	}
 	for i := 0; i < 50; i++ {
 		if a, b := child.Uint64(), manual.Uint64(); a != b {
 			t.Fatalf("draw %d: split child %#x, manual child %#x", i, a, b)
@@ -53,14 +50,12 @@ func TestSetStateMatchesSplit(t *testing.T) {
 	}
 }
 
-// Reseed and New must agree through the State lens too.
+// Reseed and New must leave the same state, compared by value.
 func TestStateAfterReseed(t *testing.T) {
 	a := New(123)
 	b := New(1)
 	b.Reseed(123)
-	ahi, alo := a.State()
-	bhi, blo := b.State()
-	if ahi != bhi || alo != blo {
-		t.Fatalf("New(123) state (%#x, %#x) != Reseed(123) state (%#x, %#x)", ahi, alo, bhi, blo)
+	if *a != *b {
+		t.Fatal("New(123) and Reseed(123) must hold the same state")
 	}
 }
