@@ -13,8 +13,8 @@ import (
 //
 // The functions on this path carry //fdlint:noalloc annotations (the
 // round phases openRound, arrive, drawSlots, reduceWindows, settle and
-// census; runFrame, runWindowCell, serveSlot and the shard bodies;
-// streamer.observe): `go run ./cmd/fdlint ./...` names the offending
+// census; runFrame, runPolicyCell, serveSlot and the shard bodies,
+// serveShard among them; streamer.observe): `go run ./cmd/fdlint ./...` names the offending
 // construct at the line that would make this test fail.
 func TestRoundLoopAllocFree(t *testing.T) {
 	adapt := Scenario{
@@ -74,6 +74,13 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		// machinery reuses one channel and one WaitGroup.
 		{name: "sharded-w2", workers: 2, sc: sharded, tol: 10},
 		{name: "sharded-w4", workers: 4, sc: sharded, tol: 10},
+		// Above one tag shard, so the ALOHA serve phase splits across
+		// both workers and each keeps its own per-cell sums.
+		{name: "multishard-w2", workers: 2, tol: 10, sc: Scenario{
+			Name: "alloc-budget-multishard", Tags: 2*tagShardLen + 517, Topology: TopologyUniformDisc,
+			RadiusM: 12, OfferedLoad: 0.02,
+			Readers: ReaderSpec{Count: 4, Placement: ReaderGrid, SpacingM: 10},
+		}},
 		// The streamer's snapshot and its slices, the rate-histogram
 		// delta included, are sized once at init.
 		{name: "streamed-rateadapt", workers: 1, stream: true, sc: adapt},

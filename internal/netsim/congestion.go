@@ -143,8 +143,8 @@ func (c CongestionSpec) validate() error {
 // congState is the per-tag congestion-control state as parallel
 // columns, allocated once at setup (nil on the engine when the spec is
 // disabled). A tag's row is touched by exactly one goroutine per
-// phase — its tag shard in phaseCong, its reader cell's owner in the
-// window phase — so no synchronisation is needed.
+// phase — its tag shard in phaseCong and phaseServe, its reader cell's
+// owner in phaseGrants — so no synchronisation is needed.
 type congState struct {
 	queueCap   float64
 	rtoMin     float64
@@ -457,7 +457,7 @@ const (
 // schedState is the reader-side scheduling state shared by the
 // non-ALOHA policies: per-tag head-of-line backlog timestamps that the
 // grant metrics read. Grant selection itself runs per cell in the
-// window phase on the cell owner's scratch.
+// grant phase on the cell owner's scratch.
 type schedState struct {
 	policy   string
 	deadline int32
@@ -523,14 +523,14 @@ func (e *engine) dropDeadlines(round int) {
 // the top-ContentionWindow eligible tags by policy metric are granted
 // collision-free singleton slots (insertion into the worker's
 // preallocated grant scratch — O(contenders x cw), no allocation, no
-// slotSrc draws), the rest of the window elapses idle. Part of the
-// round loop guarded by TestRoundLoopAllocFree.
+// slotSrc draws), the rest of the window elapses idle. The grants'
+// exchanges sum into the worker's serve row for the cell, which
+// reduceWindows folds in like the ALOHA phase's. Part of the round loop
+// guarded by TestRoundLoopAllocFree.
 //
 //fdlint:parallel
 //fdlint:noalloc
 func (e *engine) runPolicyCell(w *netWorker, ci int) {
-	acc := &e.cellAcc[ci]
-	*acc = cellAcc{}
 	cw := e.sc.ContentionWindow
 	r := int(e.activeCells[ci])
 	t := &e.tags
@@ -565,15 +565,11 @@ func (e *engine) runPolicyCell(w *netWorker, ci int) {
 		gm[pos] = m
 	}
 
-	rs := &e.rstats[r]
-	var rb int64
+	sa := &w.serve[ci]
 	for _, i := range gi {
-		acc.singletonSlots++
-		rs.SingletonSlots++
-		rb += e.serveSlot(w, acc, rs, i)
+		e.serveSlot(w, sa, i)
 	}
-	idle := int64(cw - len(gi))
-	acc.idleSlots += idle
-	rb += idle * e.chunkAir
-	acc.windowBytes = rb
+	granted, idle := int64(len(gi)), int64(cw-len(gi))
+	e.rstats[r].SingletonSlots += granted
+	e.cellAcc[ci] = cellAcc{singletonSlots: granted, idleSlots: idle, windowBytes: idle * e.chunkAir}
 }

@@ -43,11 +43,12 @@
 // Layout: per-tag state is struct-of-arrays (tagState) — parallel
 // slices grouped by access pattern, walked as tight loops over
 // contiguous memory — and tags are grouped per reader cell in a CSR
-// association index, which is also the unit of window-phase sharding.
-// The per-round hot path is allocation-free at every worker count:
-// worker scratch (protocol instances, slot arrays, stream-loading
-// sources) is allocated once at setup, and the worker pool is
-// persistent across rounds. An opt-in analytic fast path
+// association index, which fixes the serial slot-draw order and the
+// per-cell shards of policy-scheduled windows; ALOHA service shards by
+// tag range like every other per-tag phase. The per-round hot path is
+// allocation-free at every worker count: worker scratch (protocol
+// instances, per-cell serve sums, derive buffers) is allocated once at
+// setup, and the worker pool is persistent across rounds. An opt-in analytic fast path
 // (Scenario.Analytic) replaces per-chunk simulation with closed-form
 // expected airtime per frame; see analytic.go.
 package netsim
@@ -56,6 +57,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 
 	"repro/internal/channel"
@@ -278,8 +280,8 @@ func (r *NetResult) AliveFraction() float64 {
 		return 0
 	}
 	alive := 0
-	for _, t := range r.Tags {
-		if t.Alive {
+	for i := range r.Tags {
+		if r.Tags[i].Alive {
 			alive++
 		}
 	}
@@ -293,8 +295,8 @@ func (r *NetResult) MeanLifetimeS() float64 {
 		return 0
 	}
 	var sum float64
-	for _, t := range r.Tags {
-		sum += t.LifetimeS
+	for i := range r.Tags {
+		sum += r.Tags[i].LifetimeS
 	}
 	return sum / float64(len(r.Tags))
 }
@@ -305,8 +307,8 @@ func (r *NetResult) MeanSNRdB() float64 {
 		return 0
 	}
 	var sum float64
-	for _, t := range r.Tags {
-		sum += t.SNRdB
+	for i := range r.Tags {
+		sum += r.Tags[i].SNRdB
 	}
 	return sum / float64(len(r.Tags))
 }
@@ -317,8 +319,8 @@ func (r *NetResult) MeanSNRdB() float64 {
 // fair about).
 func (r *NetResult) FairnessIndex() float64 {
 	var sum, sumSq float64
-	for _, t := range r.Tags {
-		x := float64(t.FramesDelivered)
+	for i := range r.Tags {
+		x := float64(r.Tags[i].FramesDelivered)
 		sum += x
 		sumSq += x * x
 	}
@@ -373,8 +375,8 @@ type engine struct {
 	budgetT float64
 	// Reader-cell association in CSR form: the tags served by reader r
 	// are tagsByReader[readerOff[r]:readerOff[r+1]], in tag index order.
-	// Rebuilt per epoch with no allocation; cells are the unit of
-	// window-phase sharding.
+	// Rebuilt per epoch with no allocation; it orders the slot draws and
+	// is the grant phase's unit of sharding.
 	tagsByReader []int32
 	readerOff    []int32
 	readerFill   []int32 // rebuild cursor scratch
@@ -388,9 +390,17 @@ type engine struct {
 	// and written into each worker's params copy before a frame.
 	params mac.Params
 
-	// Round-loop scratch. harvest records each tag's settled harvest
-	// power when a test observer allocates it; nil in production runs.
+	// Round-loop scratch. slotChoice is each ALOHA contender's drawn
+	// slot. slotOnce and slotMany are per-active-cell bitsets of
+	// slotWords words each: cell ci's slot s has its bit in
+	// slotOnce[ci*slotWords:] once some contender drew it, and in
+	// slotMany once a second one did. harvest records each tag's
+	// settled harvest power when a test observer allocates it; nil in
+	// production runs.
 	slotChoice []int32
+	slotWords  int
+	slotOnce   []uint64
+	slotMany   []uint64
 	harvest    []float64
 
 	secondsPerByte float64
@@ -400,8 +410,11 @@ type engine struct {
 	// Worker pool and per-phase dispatch state (pool.go).
 	pool pool
 	// activeCells lists the reader cells the current round opens
-	// (all readers under independent scheduling, one under TDM).
+	// (all readers under independent scheduling, one under TDM), and
+	// cellOf[r] is reader r's index in it (-1 when r is closed).
+	// cellContenders counts each ALOHA cell's contenders at the draw.
 	activeCells    []int32
+	cellOf         []int32
 	cellContenders []int32
 	cellAcc        []cellAcc
 	activeReader   int // <0: every reader is active
@@ -498,10 +511,16 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 			// contention eligibility for this round.
 			e.pool.dispatch(phaseCong)
 		}
-		// Slot draws stay serial in cell order (windows never touch
-		// slotSrc); the windows then run in parallel, one per cell.
-		e.drawSlots(slotSrc)
-		e.pool.dispatch(phaseWindows)
+		// ALOHA slot draws stay serial in cell order and classify
+		// every slot as they go; service then runs in parallel over
+		// tag ranges and never touches slotSrc. Policy-scheduled cells
+		// grant slots instead of drawing them, one cell per shard.
+		if e.sched == nil {
+			e.drawSlots(slotSrc)
+			e.pool.dispatch(phaseServe)
+		} else {
+			e.pool.dispatch(phaseGrants)
+		}
 		anyQueued = e.settle(res, e.reduceWindows(res))
 		if err := obs.observe(e, res, round); err != nil {
 			return nil, err
@@ -547,6 +566,7 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	}
 
 	R := len(readers)
+	slotWords := (sc.ContentionWindow + 63) / 64
 	e := &engine{
 		sc:             sc,
 		pl:             channel.NewLogDistance(sc.FreqHz, sc.PathLossExp),
@@ -562,10 +582,12 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 		analytic:       sc.Analytic,
 		params:         params,
 		slotChoice:     make([]int32, sc.Tags),
+		slotWords:      slotWords,
 		secondsPerByte: 8 / sc.BitRateBps,
 		chunkAir:       chunkAir,
 		collisionCost:  collisionCost,
 		activeCells:    make([]int32, 0, R),
+		cellOf:         make([]int32, R),
 		cellContenders: make([]int32, R),
 		cellAcc:        make([]cellAcc, R),
 		activeReader:   -1,
@@ -605,6 +627,9 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	}
 	if sc.Readers.Policy != PolicyAloha {
 		e.sched = newSchedState(sc.Readers, sc.Tags)
+	} else {
+		e.slotOnce = make([]uint64, R*slotWords)
+		e.slotMany = make([]uint64, R*slotWords)
 	}
 	if sc.Faults.enabled() {
 		e.flt = newFaultState(sc.Faults, sc.Tags, R)
@@ -638,10 +663,12 @@ func (e *engine) openRound(walk *waypointWalk, faultSrc *simrand.Source) {
 	}
 	e.activeCells = e.activeCells[:0]
 	for r := range e.readers {
+		e.cellOf[r] = -1
 		// An outaged reader opens no window; its tags either
 		// re-associated at the outage edge or (when every reader is
 		// down) wait it out.
 		if (e.activeReader < 0 || r == e.activeReader) && (e.flt == nil || !e.flt.down[r]) {
+			e.cellOf[r] = int32(len(e.activeCells))
 			e.activeCells = append(e.activeCells, int32(r))
 		}
 	}
@@ -690,8 +717,9 @@ func (e *engine) arrive(trafficSrc *simrand.Source) {
 	}
 }
 
-// reduceWindows folds the round's cell outcomes into res in cell order
-// and returns the round's byte-time: independent channels run
+// reduceWindows folds every worker's served-exchange sums into their
+// cells, then the round's cell outcomes into res, in cell order, and
+// returns the round's byte-time: independent channels run
 // concurrently, so the clock advances by the longest window. Hotspot
 // bookkeeping rides along: a cell whose occupancy first reaches
 // satOnsetFrac marks its saturation onset, and the first later round
@@ -700,8 +728,16 @@ func (e *engine) arrive(trafficSrc *simrand.Source) {
 //fdlint:noalloc
 func (e *engine) reduceWindows(res *NetResult) int64 {
 	var roundBytes int64
-	for ci := range e.activeCells {
+	for ci, r := range e.activeCells {
 		acc := &e.cellAcc[ci]
+		rs := &e.rstats[r]
+		for _, w := range e.pool.workers {
+			sa := &w.serve[ci]
+			acc.windowBytes += sa.elapsed
+			acc.goodputBytes += sa.goodput
+			rs.FramesDelivered += int(sa.delivered)
+			*sa = serveAcc{}
+		}
 		if acc.windowBytes > roundBytes {
 			roundBytes = acc.windowBytes
 		}
@@ -710,7 +746,6 @@ func (e *engine) reduceWindows(res *NetResult) int64 {
 		res.CollisionSlots += acc.collisionSlots
 		res.CollisionBytes += acc.collisionBytes
 		res.GoodputBytes += acc.goodputBytes
-		rs := &e.rstats[e.activeCells[ci]]
 		occ := float64(acc.singletonSlots+acc.collisionSlots) / float64(e.sc.ContentionWindow)
 		switch {
 		case rs.SaturationOnset == 0:
@@ -837,30 +872,57 @@ func (e *engine) contends(i int32) bool {
 	return true
 }
 
-// drawSlots draws every contender's slot for each active cell, in cell
-// order then tag index order within the cell's association list — the
-// exact slotSrc sequence of the serial engine. Contender counts are
-// recorded per cell so the window phase can reproduce the slot
-// histogram without re-reading slotSrc. Part of the round loop guarded
-// by TestRoundLoopAllocFree.
+// drawSlots draws every ALOHA contender's slot for each active cell,
+// in cell order then tag index order within the cell's association
+// list — the exact slotSrc sequence of the serial engine — and
+// classifies the cell's slots as it goes: a slot's bit lands in the
+// cell's slotOnce set at its first draw and in slotMany at its second.
+// Popcounts then give the window's idle, singleton and collision slots,
+// their byte-time and the reader's slot stats, so the serve phase only
+// has to look up each contender's own bit. Part of the round loop
+// guarded by TestRoundLoopAllocFree.
 //
 //fdlint:noalloc
 func (e *engine) drawSlots(slotSrc *simrand.Source) {
 	cw := e.sc.ContentionWindow
+	nw := e.slotWords
 	for ci, r := range e.activeCells {
+		once := e.slotOnce[ci*nw : (ci+1)*nw]
+		many := e.slotMany[ci*nw : (ci+1)*nw]
+		clear(once)
+		clear(many)
 		contenders := int32(0)
 		for _, i := range e.cellTags(int(r)) {
 			if !e.contends(i) {
 				continue
 			}
-			if e.sched == nil {
-				// Policy-scheduled cells grant slots instead of drawing
-				// them, so the slot stream is only consumed under ALOHA.
-				e.slotChoice[i] = int32(slotSrc.IntN(cw))
-			}
+			s := slotSrc.IntN(cw)
+			e.slotChoice[i] = int32(s)
+			k, bit := s>>6, uint64(1)<<(s&63)
+			many[k] |= once[k] & bit
+			once[k] |= bit
 			contenders++
 		}
 		e.cellContenders[ci] = contenders
+		var used, collided int64
+		for k := range once {
+			used += int64(bits.OnesCount64(once[k]))
+			collided += int64(bits.OnesCount64(many[k]))
+		}
+		acc := &e.cellAcc[ci]
+		*acc = cellAcc{
+			idleSlots:      int64(cw) - used,
+			singletonSlots: used - collided,
+			collisionSlots: collided,
+			collisionBytes: collided * e.collisionCost,
+		}
+		// Empty slots are short (one chunk-time); a collision costs its
+		// detection airtime. The served exchanges add theirs at the
+		// reduce.
+		acc.windowBytes = acc.idleSlots*e.chunkAir + acc.collisionBytes
+		rs := &e.rstats[r]
+		rs.SingletonSlots += acc.singletonSlots
+		rs.CollisionSlots += acc.collisionSlots
 	}
 }
 
@@ -1183,72 +1245,37 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 	return mr
 }
 
-// runWindowCell executes one reader's contention window for the current
-// round on worker w. The slot draws already happened serially
-// (drawSlots); this rebuilds the slot histogram from the recorded
-// choices — the contender set cannot have changed in between, since
-// only this cell's execution touches its tags' queues and deaths settle
-// at round end — and takes the idle, singleton and collision slot
-// counts from it. One pass over the cell's tags, in tag-index order,
-// then serves each singleton winner and charges each colliding tag.
-// Service order is free: everything a singleton exchange writes
-// belongs to its tag (queue, stats, stream words, fade and congestion
-// rows), or is an integer sum (the cellAcc entry, the reader's stats,
-// the window's byte-time), and a tag either wins its slot or collides,
-// never both. So tag order computes exactly what slot order did, while
-// walking the per-tag columns forward instead of at random. Everything
-// written here is owned by the cell. Part of the round loop guarded by
-// TestRoundLoopAllocFree, sharded rows included.
+// serveShard is the parallel body of the ALOHA serve phase for tags
+// [lo, hi): each contender whose reader's cell is open either won its
+// slot alone (its bit is not in the cell's slotMany set), and is
+// served, or collided, and is charged. It relies on two invariants:
+// t.reader[i] == r exactly when i is in cellTags(r) (deriveLinks
+// rebuilds the CSR index from t.reader, which nothing else writes), and
+// contends(i) cannot change between drawSlots and this pass (only tag
+// i's own exchange below writes the state it reads, and only after the
+// check). So this pass visits exactly the tags drawSlots drew for.
+// Service order is free: everything a singleton exchange writes belongs
+// to its tag (queue, stats, stream words, fade and congestion rows) or
+// is an integer sum in this worker's serve row for the cell, and a tag
+// either wins its slot or collides, never both. Part of the round loop
+// guarded by TestRoundLoopAllocFree, sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (e *engine) runWindowCell(w *netWorker, ci int) {
-	if e.sched != nil {
-		e.runPolicyCell(w, ci)
-		return
-	}
-	acc := &e.cellAcc[ci]
-	*acc = cellAcc{}
-	cw := e.sc.ContentionWindow
-	if e.cellContenders[ci] == 0 {
-		// Nothing to send in this cell: the whole window elapses idle.
-		acc.idleSlots = int64(cw)
-		acc.windowBytes = int64(cw) * e.chunkAir
-		return
-	}
-	r := int(e.activeCells[ci])
+func (e *engine) serveShard(w *netWorker, lo, hi int) {
 	t := &e.tags
-	idxs := e.cellTags(r)
-	count := w.slotCount[:cw]
-	clear(count)
-	for _, i := range idxs {
-		if e.contends(i) {
-			count[e.slotChoice[i]]++
-		}
-	}
-	for _, c := range count {
-		switch c {
-		case 0:
-			acc.idleSlots++
-		case 1:
-			acc.singletonSlots++
-		default:
-			acc.collisionSlots++
-		}
-	}
-	rs := &e.rstats[r]
-	rs.SingletonSlots += acc.singletonSlots
-	rs.CollisionSlots += acc.collisionSlots
-	acc.collisionBytes = acc.collisionSlots * e.collisionCost
-	// Empty slots are short (one chunk-time); a collision costs its
-	// detection airtime.
-	rb := acc.idleSlots*e.chunkAir + acc.collisionBytes
-	for _, i := range idxs {
-		if !e.contends(i) {
+	nw := e.slotWords
+	for i := lo; i < hi; i++ {
+		if !e.contends(int32(i)) {
 			continue
 		}
-		if count[e.slotChoice[i]] == 1 {
-			rb += e.serveSlot(w, acc, rs, i)
+		ci := int(e.cellOf[t.reader[i]])
+		if ci < 0 {
+			continue
+		}
+		s := e.slotChoice[i]
+		if e.slotMany[ci*nw+int(s>>6)]&(uint64(1)<<(s&63)) == 0 {
+			e.serveSlot(w, &w.serve[ci], int32(i))
 			continue
 		}
 		// A colliding tag was on air until the reader shut the slot
@@ -1259,23 +1286,23 @@ func (e *engine) runWindowCell(w *netWorker, ci int) {
 		t.txCount[i]++
 		t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
 	}
-	acc.windowBytes = rb
 }
 
 // serveSlot carries tag i's head-of-line frame through one singleton
 // slot — the MAC exchange, queue movement, delivery accounting, and
-// the congestion controller's delivery/failure feedback — and returns
-// the slot's elapsed byte-time. Shared by the ALOHA path, which serves
-// its winners in tag order, and the policy-scheduled path, which serves
-// them in grant order. What it writes is tag i's own state plus integer
-// sums (acc, rs), so a cell's winners may be served in any order with
-// the same result; everything written is owned by the calling cell.
-// Part of the round loop guarded by TestRoundLoopAllocFree, sharded
-// rows included.
+// the congestion controller's delivery/failure feedback — and adds
+// the slot's elapsed byte-time, goodput and delivery to sa, the
+// calling worker's serve row for tag i's cell. Shared by the ALOHA
+// path, which serves its winners in tag order, and the
+// policy-scheduled path, which serves them in grant order. What it
+// writes is tag i's own state plus integer sums in sa, so a cell's
+// winners may be served in any order, on any worker, with the same
+// result. Part of the round loop guarded by TestRoundLoopAllocFree,
+// sharded rows included.
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32) int64 {
+func (e *engine) serveSlot(w *netWorker, sa *serveAcc, i int32) {
 	t := &e.tags
 	var mr mac.Result
 	var elapsed, air int64
@@ -1303,8 +1330,8 @@ func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32)
 	t.stats[i].MACAttempts += mr.Attempts
 	if mr.FramesDelivered == 1 {
 		t.stats[i].FramesDelivered++
-		rs.FramesDelivered++
-		acc.goodputBytes += mr.GoodputBytes
+		sa.delivered++
+		sa.goodput += mr.GoodputBytes
 		if c := e.cong; c != nil {
 			c.onDelivery(int(i), e.curRound)
 		}
@@ -1333,7 +1360,7 @@ func (e *engine) serveSlot(w *netWorker, acc *cellAcc, rs *ReaderStats, i int32)
 	// adjusted there.
 	t.txCount[i]++
 	t.txDt[i] += float64(elapsed) * e.secondsPerByte
-	return elapsed
+	sa.elapsed += elapsed
 }
 
 // String summarises a run for logs.

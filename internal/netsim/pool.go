@@ -12,9 +12,9 @@ package netsim
 // Determinism does not depend on which worker claims which shard: a
 // shard's computation reads only state owned by the shard (its reader
 // cell's tags, or its tag range) plus per-tag stream words stored
-// inline, and writes only shard-owned state and its own accumulator
-// slot. Cross-shard reductions happen after the barrier, in shard
-// order, on the main goroutine.
+// inline, and writes only shard-owned state and integer sums in its
+// worker's own accumulator slots. Cross-shard reductions happen after
+// the barrier, in cell order, on the main goroutine.
 
 import (
 	"sync"
@@ -27,9 +27,13 @@ import (
 type phaseKind uint8
 
 const (
-	// phaseWindows executes contention windows; shards are active
-	// reader cells.
-	phaseWindows phaseKind = iota
+	// phaseGrants executes policy-scheduled windows (grant selection is
+	// a per-cell top-K); shards are active reader cells.
+	phaseGrants phaseKind = iota
+	// phaseServe serves the ALOHA windows drawSlots classified: every
+	// singleton winner's exchange and every colliding tag's charge;
+	// shards are tag ranges.
+	phaseServe
 	// phaseInit expands per-tag setup from the serial root draws;
 	// shards are tag ranges.
 	phaseInit
@@ -54,8 +58,10 @@ const deriveBlockGains = 512
 // million tags spread over every worker.
 const tagShardLen = 4096
 
-// cellAcc accumulates one reader cell's window outcome. Padded to a
-// cache line so adjacent cells on different workers don't false-share.
+// cellAcc accumulates one reader cell's window outcome: the slot
+// classes and their byte-time (drawSlots or runPolicyCell), plus the
+// served exchanges' sums (reduceWindows). Padded to a cache line so
+// adjacent cells on different workers don't false-share.
 type cellAcc struct {
 	windowBytes    int64
 	idleSlots      int64
@@ -66,9 +72,19 @@ type cellAcc struct {
 	_              [2]int64
 }
 
+// serveAcc is one worker's integer sums over the exchanges it served
+// for one cell in the current round: the byte-time they elapsed, the
+// payload they delivered and the frames delivered. reduceWindows folds
+// every worker's row into the cell in cell order and zeroes it. Padded
+// to a cache line so the ends of two workers' rows don't false-share.
+type serveAcc struct {
+	elapsed, goodput, delivered int64
+	_                           [5]int64
+}
+
 // netWorker is one worker's scratch: reused protocol instances and the
-// slot histogram for whichever cell the worker is executing.
-// Everything here is allocated once at pool start.
+// per-cell sums of the exchanges it serves. Everything here is
+// allocated once at pool start.
 type netWorker struct {
 	// iid is pointed at the serving tag's loss stream per frame.
 	iid mac.IIDLoss
@@ -79,8 +95,9 @@ type netWorker struct {
 	fd     mac.FullDuplex
 	sw     mac.StopAndWait
 	ba     mac.BlockACK
-	// Slot histogram scratch for runWindowCell.
-	slotCount []int32
+	// serve[ci] sums the exchanges this worker served for active cell
+	// ci this round (serveSlot).
+	serve []serveAcc
 	// Grant-list scratch for runPolicyCell (nil under PolicyAloha):
 	// the top-ContentionWindow contenders by policy metric.
 	grantIdx    []int32
@@ -125,8 +142,8 @@ func (p *pool) start(e *engine, workers int) {
 	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
-			params:    e.params,
-			slotCount: make([]int32, cw),
+			params: e.params,
+			serve:  make([]serveAcc, R),
 
 			deriveBlock: block,
 			dist:        make([]float64, nb*R),
@@ -163,7 +180,7 @@ func (p *pool) stop() { close(p.workCh) }
 
 // shardCount returns the number of shards the phase divides into.
 func (p *pool) shardCount(ph phaseKind) int {
-	if ph == phaseWindows {
+	if ph == phaseGrants {
 		return len(p.e.activeCells)
 	}
 	return (p.e.tags.len() + tagShardLen - 1) / tagShardLen
@@ -209,8 +226,8 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 			return
 		}
 		switch ph {
-		case phaseWindows:
-			e.runWindowCell(w, s)
+		case phaseGrants:
+			e.runPolicyCell(w, s)
 		default:
 			lo := s * tagShardLen
 			hi := lo + tagShardLen
@@ -220,6 +237,8 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 			switch ph {
 			case phaseInit:
 				e.initShard(w, lo, hi)
+			case phaseServe:
+				e.serveShard(w, lo, hi)
 			case phaseDerive:
 				e.deriveShard(w, lo, hi)
 			case phaseSettle:

@@ -11,6 +11,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/simrand"
 )
 
 // probe adapts a per-round check to the engine's roundObserver: the
@@ -192,7 +194,7 @@ func (s *slotTally) add(n, m float64) {
 	s.cov += pairs*(n/m)*math.Pow(q2, n-1) - eI*eS
 }
 
-// TestSlotOccupancyOracle checks the window phase's slot histogram
+// TestSlotOccupancyOracle checks the slot classes drawSlots counts
 // against the closed form above: a probe sums the expected idle and
 // singleton counts from each round's recorded contender counts, and
 // the run's IdleSlots, SingletonSlots and CollisionSlots must each land
@@ -246,6 +248,86 @@ func TestSlotOccupancyOracle(t *testing.T) {
 			if d := float64(c.got) - c.want; math.Abs(d) > tol {
 				t.Errorf("%s: %d %s slots, closed form %.1f ± %.1f (5 sigma)", sc.Name, c.got, c.what, c.want, tol)
 			}
+		}
+	}
+}
+
+// TestDrawSlotsClassifiesExactly recounts each open cell's slot
+// histogram from slotChoice and contends right after drawSlots, and
+// checks what drawSlots took from its once/many bitsets against it: the
+// cell's idle, singleton and collision slots, collision bytes and base
+// byte-time, and the reader's slot counters. The windows straddle word
+// boundaries (1, 63, 64, 65 and 200 slots), so partial last words are
+// exercised, and every slot class must turn up.
+func TestDrawSlotsClassifiesExactly(t *testing.T) {
+	for _, cw := range []int{1, 63, 64, 65, 200} {
+		sc := Scenario{
+			Name: fmt.Sprintf("slot-classes-cw%d", cw), Tags: 3*cw + 9,
+			Topology: TopologyUniformDisc, RadiusM: 12,
+			Readers:     ReaderSpec{Count: 3, Placement: ReaderLine, SpacingM: 8},
+			OfferedLoad: 0.3, ContentionWindow: cw,
+		}
+		sc.ApplyDefaults()
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		root := simrand.New(5)
+		placeSrc, trafficSrc, slotSrc := root.Split(), root.Split(), root.Split()
+		e, err := newEngine(sc, 5, 1, root, placeSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := &NetResult{}
+		count := make([]int, cw)
+		prev := make([]ReaderStats, len(e.rstats))
+		var seen cellAcc
+		for round := 0; round < 40; round++ {
+			e.curRound = round
+			e.openRound(nil, nil)
+			e.arrive(trafficSrc)
+			copy(prev, e.rstats)
+			e.drawSlots(slotSrc)
+			for ci, r := range e.activeCells {
+				clear(count)
+				for _, i := range e.cellTags(int(r)) {
+					if e.contends(i) {
+						count[e.slotChoice[i]]++
+					}
+				}
+				var want cellAcc
+				for _, c := range count {
+					switch c {
+					case 0:
+						want.idleSlots++
+					case 1:
+						want.singletonSlots++
+					default:
+						want.collisionSlots++
+					}
+				}
+				want.collisionBytes = want.collisionSlots * e.collisionCost
+				want.windowBytes = want.idleSlots*e.chunkAir + want.collisionBytes
+				if got := e.cellAcc[ci]; got != want {
+					t.Fatalf("cw %d round %d cell %d: drawSlots classified %+v, histogram says %+v", cw, round, r, got, want)
+				}
+				rs, was := e.rstats[r], prev[r]
+				if rs.SingletonSlots-was.SingletonSlots != want.singletonSlots || rs.CollisionSlots-was.CollisionSlots != want.collisionSlots {
+					t.Fatalf("cw %d round %d reader %d: slot counters moved by %d/%d, histogram says %d/%d", cw, round, r,
+						rs.SingletonSlots-was.SingletonSlots, rs.CollisionSlots-was.CollisionSlots, want.singletonSlots, want.collisionSlots)
+				}
+				seen.idleSlots += want.idleSlots
+				seen.singletonSlots += want.singletonSlots
+				seen.collisionSlots += want.collisionSlots
+			}
+			e.pool.dispatch(phaseServe)
+			e.settle(res, e.reduceWindows(res))
+			clear(e.tags.txCount)
+			clear(e.tags.txDt)
+		}
+		e.pool.stop()
+		if seen.idleSlots == 0 || seen.singletonSlots == 0 || seen.collisionSlots == 0 {
+			t.Fatalf("cw %d: slot classes idle/singleton/collision seen %d/%d/%d, want all three", cw,
+				seen.idleSlots, seen.singletonSlots, seen.collisionSlots)
 		}
 	}
 }

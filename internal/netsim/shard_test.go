@@ -29,6 +29,19 @@ func shardScenarios(t *testing.T) []Scenario {
 		out = append(out, sc)
 	}
 	out = append(out, tdmMobileAdaptScenario())
+	// Above one tag shard, so every tag-range phase (the ALOHA serve
+	// phase included) splits across workers: outaged readers whose tags
+	// contend with no open cell, interference bursts and cubic parking
+	// (outage-retail), a plain multi-cell run (mall-cells), and TDM with
+	// ARF under mobility (tdm-mobile-adapt).
+	for _, name := range []string{"outage-retail", "mall-cells"} {
+		sc, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, multiShard(sc))
+	}
+	out = append(out, multiShard(tdmMobileAdaptScenario()))
 	// The analytic fast path must obey the same contract.
 	an, err := Preset("warehouse")
 	if err != nil {
@@ -46,6 +59,14 @@ func shardScenarios(t *testing.T) []Scenario {
 	mob.Analytic = true
 	out = append(out, mob)
 	return out
+}
+
+// multiShard scales sc to a population spanning two full tag shards
+// and a partial third.
+func multiShard(sc Scenario) Scenario {
+	sc.Tags = 2*tagShardLen + 517
+	sc.Name += "-multishard"
+	return sc
 }
 
 // tdmMobileAdaptScenario puts TDM, mobility, half-duplex probing
