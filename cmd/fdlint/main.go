@@ -1,7 +1,7 @@
 // Command fdlint runs the repo's contract-enforcement analyzer suite
-// (noalloc, orderedrange, shardwrite, streamtree, validatecover) over
-// the packages matching its arguments — ./... by default — and exits
-// nonzero when any contract is violated.
+// (noalloc, orderedrange, shardwrite, streamtree) over the packages
+// matching its arguments — ./... by default — and exits nonzero when
+// any contract is violated.
 //
 // Usage:
 //

@@ -104,7 +104,7 @@ func TestListAnalyzers(t *testing.T) {
 	if code := run([]string{"-list"}, &out, &errb); code != exitClean {
 		t.Fatalf("exit = %d, want %d", code, exitClean)
 	}
-	for _, name := range []string{"noalloc", "orderedrange", "shardwrite", "streamtree", "validatecover"} {
+	for _, name := range []string{"noalloc", "orderedrange", "shardwrite", "streamtree"} {
 		if !strings.Contains(out.String(), name) {
 			t.Fatalf("-list missing %s: %q", name, out.String())
 		}

@@ -20,9 +20,12 @@
 //
 // Overrides (-tags, -topology, -radius, -load, -protocol, -readers,
 // -scheduling, -mobility, -rateadapt, -faderho, -policy, -congestion,
-// -analytic) apply on top of the preset or file; everything else comes
-// from the scenario; a negative -tags or -readers, or a negative or
-// non-finite -radius, -load, -mobility or -faderho, exits 2.
+// -analytic) apply on top of the preset or file, each setting the
+// scenario knob its JSON path names (see overrides); everything else
+// comes from the scenario. A flag passed at its default overrides
+// nothing. Exit codes: 0 on success; 2 for a usage error, including a
+// negative or non-finite numeric override; 1 when the scenario fails
+// to load or validate, including an override outside its knob's bounds.
 // Runs are deterministic: same scenario + seed, same output — at ANY
 // -workers count (sharding changes who computes, never what). The
 // resolved worker count goes to stderr so stdout stays byte-stable.
@@ -40,72 +43,89 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 
 	"repro/internal/netsim"
 	"repro/internal/trace"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run carries the whole command so the CPU profile flushes on every
 // exit path; os.Exit skips deferred calls, which would leave
 // -cpuprofile truncated on an error exit.
-func run() (code int) {
+func run(args []string, stdout, stderr io.Writer) (code int) {
+	fs := flag.NewFlagSet("fdnet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		presets    = flag.Bool("presets", false, "list built-in scenarios and exit")
-		preset     = flag.String("preset", "", "built-in scenario name")
-		file       = flag.String("scenario", "", "scenario JSON file")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		format     = flag.String("format", "text", "output format: text or csv")
-		tags       = flag.Int("tags", 0, "override tag count")
-		topology   = flag.String("topology", "", "override topology (grid, uniform-disc, clustered, cells)")
-		radius     = flag.Float64("radius", 0, "override deployment radius (m)")
-		load       = flag.Float64("load", 0, "override offered load (frames/tag/round)")
-		protocol   = flag.String("protocol", "", "override MAC protocol (full-duplex, stop-and-wait, block-ack)")
-		readers    = flag.Int("readers", 0, "override reader count")
-		scheduling = flag.String("scheduling", "", "override reader scheduling (independent, tdm)")
-		mobility   = flag.Float64("mobility", 0, "enable waypoint mobility with this drift step (m/epoch)")
-		rateadapt  = flag.String("rateadapt", "", "enable closed-loop rate adaptation with this policy (fixed, arf, fd)")
-		fadeRho    = flag.Float64("faderho", -1, "override the per-chunk fading correlation, in [0, 1)")
-		policy     = flag.String("policy", "", "override reader admission policy (aloha, fifo, prop-fair, deadline)")
-		congestion = flag.String("congestion", "", "enable closed-loop congestion control with this controller (cubic)")
-		workers    = flag.Int("workers", 0, "engine workers (0 = one per CPU); the result is identical at any count")
-		analytic   = flag.Bool("analytic", false, "use the closed-form analytic engine (delivery-tight, airtime-optimistic)")
-		summary    = flag.Bool("summary", false, "print only the aggregate block, not the per-tag table")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a pprof heap profile to this file")
+		presets = fs.Bool("presets", false, "list built-in scenarios and exit")
+		preset  = fs.String("preset", "", "built-in scenario name")
+		file    = fs.String("scenario", "", "scenario JSON file")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		format  = fs.String("format", "text", "output format: text or csv")
+		workers = fs.Int("workers", 0, "engine workers (0 = one per CPU); the result is identical at any count")
+		summary = fs.Bool("summary", false, "print only the aggregate block, not the per-tag table")
+		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file")
 	)
-	flag.Parse()
-	if *format != "text" && *format != "csv" {
-		fmt.Fprintf(os.Stderr, "fdnet: -format %q: must be text or csv\n", *format)
+	// Override flags, read back by name through overrides.
+	fs.Int("tags", 0, "override tag count")
+	fs.String("topology", "", "override topology (grid, uniform-disc, clustered, cells)")
+	fs.Float64("radius", 0, "override deployment radius (m)")
+	fs.Float64("load", 0, "override offered load (frames/tag/round)")
+	fs.String("protocol", "", "override MAC protocol (full-duplex, stop-and-wait, block-ack)")
+	fs.Int("readers", 0, "override reader count")
+	fs.String("scheduling", "", "override reader scheduling (independent, tdm)")
+	fs.Float64("mobility", 0, "enable waypoint mobility with this drift step (m/epoch)")
+	fs.String("rateadapt", "", "enable closed-loop rate adaptation with this policy (fixed, arf, fd)")
+	fs.Float64("faderho", -1, "override the per-chunk fading correlation, in [0, 1)")
+	fs.String("policy", "", "override reader admission policy (aloha, fifo, prop-fair, deadline)")
+	fs.String("congestion", "", "enable closed-loop congestion control with this controller (cubic)")
+	fs.Bool("analytic", false, "use the closed-form analytic engine (delivery-tight, airtime-optimistic)")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
 		return 2
 	}
-	// A negative or non-finite override is a mistake, not a request
-	// for the scenario's value: reject it rather than silently dropping
-	// it. NaN would otherwise slip past both this check and the "> 0"
-	// test that applies an override. Only explicitly passed flags are
-	// checked, so -faderho's unset sentinel (-1) keeps meaning "no
-	// override".
+	if *format != "text" && *format != "csv" {
+		fmt.Fprintf(stderr, "fdnet: -format %q: must be text or csv\n", *format)
+		return 2
+	}
+	// A flag passed at its default overrides nothing, so -faderho's
+	// unset sentinel (-1) and a zero -tags keep the scenario's value. A
+	// negative or non-finite number is a mistake, not a request for the
+	// scenario's value: it exits 2 before anything is loaded.
 	set := make(map[string]bool)
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	badFloat := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
-	for _, o := range []struct {
-		name string
-		bad  bool
-	}{
-		{"tags", *tags < 0}, {"radius", badFloat(*radius)}, {"load", badFloat(*load)},
-		{"readers", *readers < 0}, {"mobility", badFloat(*mobility)}, {"faderho", badFloat(*fadeRho)},
-	} {
-		if o.bad && set[o.name] {
-			fmt.Fprintf(os.Stderr, "fdnet: -%s %s: must be finite and not negative\n", o.name, flag.Lookup(o.name).Value)
-			return 2
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	var pending [][2]string // {json path, value}
+	for _, o := range overrides {
+		if !set[o.flag] {
+			continue
+		}
+		f := fs.Lookup(o.flag)
+		v := f.Value.String()
+		if n, ok := number(f); ok {
+			if !(n >= 0) || math.IsInf(n, 1) {
+				fmt.Fprintf(stderr, "fdnet: -%s %s: must be finite and not negative\n", o.flag, v)
+				return 2
+			}
+			if d, _ := strconv.ParseFloat(f.DefValue, 64); n == d {
+				continue
+			}
+		} else if v == f.DefValue {
+			continue
+		}
+		pending = append(pending, [2]string{o.path, v})
+		if o.flag == "mobility" { // a drift step implies the waypoint walk
+			pending = append(pending, [2]string{"mobility.model", netsim.MobilityWaypoint})
 		}
 	}
 
 	if *presets || (*preset == "" && *file == "") {
-		fmt.Println("built-in scenarios:")
+		fmt.Fprintln(stdout, "built-in scenarios:")
 		for _, name := range netsim.PresetNames() {
 			sc, _ := netsim.Preset(name)
 			sc.ApplyDefaults()
@@ -128,10 +148,10 @@ func run() (code int) {
 			if len(sc.Faults.Events) > 0 || sc.Faults.OutageRate > 0 || sc.Faults.InterferenceRate > 0 || sc.Faults.ChurnRate > 0 {
 				extra += ", faults"
 			}
-			fmt.Printf("  %-14s %d tags, %s, r=%gm%s\n", name, sc.Tags, sc.Topology, sc.RadiusM, extra)
+			fmt.Fprintf(stdout, "  %-14s %d tags, %s, r=%gm%s\n", name, sc.Tags, sc.Topology, sc.RadiusM, extra)
 		}
 		if !*presets {
-			fmt.Println("\nrun one with: fdnet -preset <name>   (or -scenario <file.json>)")
+			fmt.Fprintln(stdout, "\nrun one with: fdnet -preset <name>   (or -scenario <file.json>)")
 		}
 		return 0
 	}
@@ -147,48 +167,14 @@ func run() (code int) {
 		sc, err = netsim.LoadScenario(*file)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	if *tags > 0 {
-		sc.Tags = *tags
-	}
-	if *topology != "" {
-		sc.Topology = *topology
-	}
-	if *radius > 0 {
-		sc.RadiusM = *radius
-	}
-	if *load > 0 {
-		sc.OfferedLoad = *load
-	}
-	if *protocol != "" {
-		sc.Protocol = *protocol
-	}
-	if *readers > 0 {
-		sc.Readers.Count = *readers
-	}
-	if *scheduling != "" {
-		sc.Readers.Scheduling = *scheduling
-	}
-	if *mobility > 0 {
-		sc.Mobility.Model = netsim.MobilityWaypoint
-		sc.Mobility.StepM = *mobility
-	}
-	if *rateadapt != "" {
-		sc.RateAdapt.Adapter = *rateadapt
-	}
-	if *fadeRho >= 0 {
-		sc.RateAdapt.FadeRho = *fadeRho
-	}
-	if *policy != "" {
-		sc.Readers.Policy = *policy
-	}
-	if *congestion != "" {
-		sc.Congestion.Controller = *congestion
-	}
-	if *analytic {
-		sc.Analytic = true
+	for _, kv := range pending {
+		if err := sc.SetKnob(kv[0], kv[1]); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 	}
 
 	nw := netsim.ResolveWorkers(*workers)
@@ -199,42 +185,42 @@ func run() (code int) {
 	// Run header goes to stderr: stdout is the deterministic artifact
 	// (byte-identical at any worker count) and must not depend on the
 	// machine's CPU count.
-	fmt.Fprintf(os.Stderr, "fdnet: %s seed=%d workers=%d engine=%s\n", sc.Name, *seed, nw, engine)
+	fmt.Fprintf(stderr, "fdnet: %s seed=%d workers=%d engine=%s\n", sc.Name, *seed, nw, engine)
 
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
 			f.Close()
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer func() {
 			pprof.StopCPUProfile()
 			if err := f.Close(); err != nil && code == 0 {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				code = 1
 			}
 		}()
 	}
 	res, err := netsim.RunParallel(sc, *seed, nw)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *memProf != "" {
 		if err := writeHeapProfile(*memProf); err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
 
 	adapt := res.Scenario.RateAdapt.Adapter != ""
 	if *summary {
-		printAggregates(res, os.Stdout)
+		printAggregates(res, stdout)
 		return 0
 	}
 	cols := []string{"tag", "reader", "dist_m", "snr_db", "chunk_loss", "fb_ber",
@@ -261,18 +247,41 @@ func run() (code int) {
 		tbl.AddRow(row...)
 	}
 	if *format == "csv" {
-		err = tbl.WriteCSV(os.Stdout)
+		err = tbl.WriteCSV(stdout)
 	} else {
-		err = tbl.WriteText(os.Stdout)
+		err = tbl.WriteText(stdout)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	if *format != "csv" {
-		printAggregates(res, os.Stdout)
+		printAggregates(res, stdout)
 	}
 	return 0
+}
+
+// overrides maps each override flag to the scenario knob it sets, by
+// JSON path; Validate then bounds the result like any scenario value.
+var overrides = []struct{ flag, path string }{
+	{"tags", "tags"}, {"topology", "topology"}, {"radius", "radius_m"},
+	{"load", "offered_load"}, {"protocol", "protocol"},
+	{"readers", "readers.count"}, {"scheduling", "readers.scheduling"},
+	{"mobility", "mobility.step_m"}, {"rateadapt", "rate_adapt.adapter"},
+	{"faderho", "rate_adapt.fade_rho"}, {"policy", "readers.policy"},
+	{"congestion", "congestion.controller"}, {"analytic", "analytic"},
+}
+
+// number reads a numeric flag's value; ok is false for string and bool
+// flags.
+func number(f *flag.Flag) (n float64, ok bool) {
+	switch v := f.Value.(flag.Getter).Get().(type) {
+	case int:
+		return float64(v), true
+	case float64:
+		return v, true
+	}
+	return 0, false
 }
 
 // writeHeapProfile writes a pprof heap profile, taken after a GC, to

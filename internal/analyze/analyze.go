@@ -18,8 +18,6 @@
 //     and every *simrand.Source is provably seeded from the run seed
 //     via the blessed split/hash constructors, with no loop element
 //     stream aliasing.
-//   - validatecover: every JSON-tagged scenario field is read by
-//     Validate or carries //fdlint:novalidate REASON.
 package analyze
 
 import (
@@ -28,7 +26,6 @@ import (
 	"repro/internal/analyze/orderedrange"
 	"repro/internal/analyze/shardwrite"
 	"repro/internal/analyze/streamtree"
-	"repro/internal/analyze/validatecover"
 )
 
 // All returns the full fdlint suite in stable order.
@@ -38,6 +35,5 @@ func All() []*analysis.Analyzer {
 		orderedrange.Analyzer,
 		shardwrite.Analyzer,
 		streamtree.Analyzer,
-		validatecover.Analyzer,
 	}
 }

@@ -20,12 +20,10 @@
 //	stream-ok REASON suppress one streamtree finding on this line
 //	                 (e.g. a scratch source reseeded before every use)
 //	shard-ok REASON  suppress one shardwrite finding on this line
-//	novalidate REASON  this JSON-tagged scenario field is exempt from
-//	                 the validatecover read requirement
 //
-// Suppression verbs (alloc-ok, ordered, stream-ok, shard-ok,
-// novalidate) require a reason; a bare suppression is itself a
-// diagnostic — the analyzers enforce that for the verbs they own.
+// Suppression verbs (alloc-ok, ordered, stream-ok, shard-ok) require a
+// reason; a bare suppression is itself a diagnostic — the analyzers
+// enforce that for the verbs they own.
 //
 // A comment may carry several directives back to back
 // (`//fdlint:parallel //fdlint:noalloc`); text after a plain `//` that
@@ -57,7 +55,7 @@ type Directive struct {
 func Known(verb string) bool {
 	switch verb {
 	case "noalloc", "alloc-ok", "ordered", "parallel", "workerpool", "serial",
-		"stream-ok", "shard-ok", "novalidate":
+		"stream-ok", "shard-ok":
 		return true
 	}
 	return false
@@ -160,24 +158,7 @@ func startsLine(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 
 // ForNode returns the directives governing the line node starts on.
 func (af *File) ForNode(n ast.Node) []Directive {
-	return af.ForPos(n.Pos())
-}
-
-// ForPos returns the directives governing the line containing pos —
-// for clients holding a types.Object position rather than an AST node.
-func (af *File) ForPos(pos token.Pos) []Directive {
-	return af.byLine[af.fset.Position(pos).Line]
-}
-
-// HasAt reports whether a directive with the verb governs the line
-// containing pos, returning it.
-func (af *File) HasAt(pos token.Pos, verb string) (Directive, bool) {
-	for _, d := range af.ForPos(pos) {
-		if d.Verb == verb {
-			return d, true
-		}
-	}
-	return Directive{}, false
+	return af.byLine[af.fset.Position(n.Pos()).Line]
 }
 
 // Has reports whether a directive with the verb governs node's line,

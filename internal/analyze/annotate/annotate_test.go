@@ -79,7 +79,7 @@ func TestParseDirectiveAfterTrailingCommentIgnored(t *testing.T) {
 }
 
 func TestParseEmptySuppressionReason(t *testing.T) {
-	for _, verb := range []string{"alloc-ok", "ordered", "stream-ok", "shard-ok", "novalidate"} {
+	for _, verb := range []string{"alloc-ok", "ordered", "stream-ok", "shard-ok"} {
 		ds := parseOne(t, "//fdlint:"+verb)
 		if len(ds) != 1 {
 			t.Fatalf("%s: got %d directives, want 1", verb, len(ds))
@@ -109,7 +109,7 @@ func TestParseNonDirectiveComment(t *testing.T) {
 func TestKnownVerbs(t *testing.T) {
 	for _, verb := range []string{
 		"noalloc", "alloc-ok", "ordered", "parallel", "workerpool", "serial",
-		"stream-ok", "shard-ok", "novalidate",
+		"stream-ok", "shard-ok",
 	} {
 		if !Known(verb) {
 			t.Errorf("Known(%q) = false", verb)

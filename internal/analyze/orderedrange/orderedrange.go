@@ -67,7 +67,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		af := annotate.NewFile(pass.Fset, f)
 		for _, d := range af.All() {
 			if !annotate.Known(d.Verb) {
-				pass.Reportf(d.Pos, "unknown fdlint directive %q (known: noalloc, alloc-ok, ordered, parallel, workerpool, serial, stream-ok, shard-ok, novalidate)", d.Verb)
+				pass.Reportf(d.Pos, "unknown fdlint directive %q (known: noalloc, alloc-ok, ordered, parallel, workerpool, serial, stream-ok, shard-ok)", d.Verb)
 			}
 		}
 		// Examine each function (decl or literal) independently: the

@@ -61,7 +61,7 @@ func TestAllAnalyzers(t *testing.T) {
 	for _, a := range analyze.All() {
 		names = append(names, a.Name)
 	}
-	want := []string{"noalloc", "orderedrange", "shardwrite", "streamtree", "validatecover"}
+	want := []string{"noalloc", "orderedrange", "shardwrite", "streamtree"}
 	if len(names) != len(want) {
 		t.Fatalf("All() = %v, want %v", names, want)
 	}

@@ -24,7 +24,6 @@ package netsim
 // reader-driven half of closed-loop flow control.
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -72,73 +71,6 @@ type CongestionSpec struct {
 }
 
 func (c CongestionSpec) enabled() bool { return c.Controller != "" }
-
-func (c *CongestionSpec) applyDefaults() {
-	if !c.enabled() {
-		return
-	}
-	if c.RTOMinRounds <= 0 {
-		c.RTOMinRounds = 2
-	}
-	if c.RTOMaxRounds <= 0 {
-		c.RTOMaxRounds = 64
-	}
-	if c.InitialRTORounds <= 0 {
-		c.InitialRTORounds = 4
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 6
-	}
-	if c.RetxCap <= 0 {
-		c.RetxCap = 8
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.3
-	}
-	if c.CubicC <= 0 {
-		c.CubicC = 0.4
-	}
-	switch {
-	case c.JitterFrac < 0:
-		c.JitterFrac = 0 // explicit jitter-free request
-	case c.JitterFrac == 0:
-		c.JitterFrac = 0.5
-	}
-}
-
-// validate rejects degenerate knobs after defaults; orphan fields
-// without a controller fail loudly instead of being silently ignored.
-func (c CongestionSpec) validate() error {
-	if !c.enabled() {
-		if c.RTOMinRounds != 0 || c.RTOMaxRounds != 0 || c.InitialRTORounds != 0 ||
-			c.MaxBackoff != 0 || c.RetxCap != 0 || c.Beta != 0 || c.CubicC != 0 || c.JitterFrac != 0 {
-			return fmt.Errorf("netsim: congestion fields set without a controller (set congestion.controller to %s)", CongestionCubic)
-		}
-		return nil
-	}
-	if c.Controller != CongestionCubic {
-		return fmt.Errorf("netsim: unknown congestion controller %q (want %s)", c.Controller, CongestionCubic)
-	}
-	if !(c.RTOMinRounds >= 1) {
-		return fmt.Errorf("netsim: rto_min_rounds %g must be at least 1", c.RTOMinRounds)
-	}
-	if !(c.RTOMaxRounds >= c.RTOMinRounds) {
-		return fmt.Errorf("netsim: rto_max_rounds %g below rto_min_rounds %g", c.RTOMaxRounds, c.RTOMinRounds)
-	}
-	if !(c.Beta > 0 && c.Beta < 1) {
-		return fmt.Errorf("netsim: congestion beta %g outside (0, 1)", c.Beta)
-	}
-	if c.MaxBackoff > 16 {
-		return fmt.Errorf("netsim: max_backoff %d unreasonably large (cap 16)", c.MaxBackoff)
-	}
-	if c.RetxCap > 1<<10 {
-		return fmt.Errorf("netsim: retx_cap %d unreasonably large (cap %d)", c.RetxCap, 1<<10)
-	}
-	if c.JitterFrac > 1 {
-		return fmt.Errorf("netsim: jitter_frac %g outside [0, 1] (negative requests exactly 0)", c.JitterFrac)
-	}
-	return nil
-}
 
 // congState is the per-tag congestion-control state as parallel
 // columns, allocated once at setup (nil on the engine when the spec is

@@ -293,6 +293,11 @@ func TestCongestionSpecValidation(t *testing.T) {
 		{Tags: 4, Faults: FaultSpec{Events: []FaultEvent{{Round: 0, Kind: FaultReaderOutage}}}},            // round is 1-based
 		{Tags: 4, Faults: FaultSpec{Events: []FaultEvent{{Round: 1, Kind: FaultReaderOutage, Reader: 3}}}}, // reader out of range
 		{Tags: 4, Faults: FaultSpec{OutageRate: 1.5}},                                                      // probability out of range
+		// Round counts past the int32 the engine counts rounds in.
+		{Tags: 4, Faults: FaultSpec{OutageRate: 0.05, OutageRounds: pastInt32()}},
+		{Tags: 4, Faults: FaultSpec{InterferenceRate: 0.05, InterferenceRounds: pastInt32()}},
+		{Tags: 4, Faults: FaultSpec{ChurnRate: 0.05, ChurnRounds: pastInt32()}},
+		{Tags: 4, Readers: ReaderSpec{Policy: PolicyDeadline, DeadlineRounds: pastInt32()}},
 	}
 	for i, sc := range bad {
 		sc.ApplyDefaults()

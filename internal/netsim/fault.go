@@ -18,8 +18,6 @@ package netsim
 // congestion collapse experiments replay exactly.
 
 import (
-	"fmt"
-
 	"repro/internal/simrand"
 )
 
@@ -80,87 +78,6 @@ type FaultSpec struct {
 
 func (f FaultSpec) enabled() bool {
 	return len(f.Events) > 0 || f.OutageRate > 0 || f.InterferenceRate > 0 || f.ChurnRate > 0
-}
-
-func (f *FaultSpec) applyDefaults() {
-	if !f.enabled() {
-		return
-	}
-	if f.OutageRounds <= 0 {
-		f.OutageRounds = 8
-	}
-	if f.InterferenceRounds <= 0 {
-		f.InterferenceRounds = 4
-	}
-	if f.InterferenceLossProb <= 0 {
-		f.InterferenceLossProb = 0.5
-	}
-	if f.ChurnRounds <= 0 {
-		f.ChurnRounds = 16
-	}
-	if len(f.Events) > 0 {
-		// Copy before filling per-event defaults: the spec may alias a
-		// preset's backing array.
-		evs := append([]FaultEvent(nil), f.Events...)
-		for i := range evs {
-			if evs[i].Rounds <= 0 {
-				switch evs[i].Kind {
-				case FaultInterference:
-					evs[i].Rounds = f.InterferenceRounds
-				default:
-					evs[i].Rounds = f.OutageRounds
-				}
-			}
-			if evs[i].Kind == FaultInterference && evs[i].LossProb == 0 {
-				evs[i].LossProb = f.InterferenceLossProb
-			}
-		}
-		f.Events = evs
-	}
-}
-
-func (f FaultSpec) validate(readers int) error {
-	if !f.enabled() {
-		if f.OutageRounds != 0 || f.InterferenceRounds != 0 || f.InterferenceLossProb != 0 || f.ChurnRounds != 0 {
-			return fmt.Errorf("netsim: faults fields set without any event or rate (set faults.events or a *_rate)")
-		}
-		return nil
-	}
-	for i, ev := range f.Events {
-		switch ev.Kind {
-		case FaultReaderOutage, FaultInterference:
-		default:
-			return fmt.Errorf("netsim: fault event %d: unknown kind %q (want %s or %s)",
-				i, ev.Kind, FaultReaderOutage, FaultInterference)
-		}
-		if ev.Round < 1 {
-			return fmt.Errorf("netsim: fault event %d: round %d must be >= 1", i, ev.Round)
-		}
-		if ev.Reader < 0 || ev.Reader >= readers {
-			return fmt.Errorf("netsim: fault event %d: reader %d outside [0, %d)", i, ev.Reader, readers)
-		}
-		if ev.LossProb < 0 || ev.LossProb > 1 {
-			return fmt.Errorf("netsim: fault event %d: loss_prob %g outside [0, 1]", i, ev.LossProb)
-		}
-		if ev.Rounds < 1 || ev.Rounds > 1<<20 {
-			return fmt.Errorf("netsim: fault event %d: duration %d rounds outside [1, %d] (zero takes the spec default)",
-				i, ev.Rounds, 1<<20)
-		}
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"outage_rate", f.OutageRate},
-		{"interference_rate", f.InterferenceRate},
-		{"interference_loss_prob", f.InterferenceLossProb},
-		{"churn_rate", f.ChurnRate},
-	} {
-		if p.v < 0 || p.v > 1 {
-			return fmt.Errorf("netsim: faults.%s %g outside [0, 1]", p.name, p.v)
-		}
-	}
-	return nil
 }
 
 // faultSeed derives the fault stream seed as a pure hash of the run

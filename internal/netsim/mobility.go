@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/simrand"
@@ -33,34 +32,6 @@ type MobilitySpec struct {
 	// EpochRounds is the number of inventory rounds per epoch (default
 	// 4). The epoch is also the TDM reader-rotation period.
 	EpochRounds int `json:"epoch_rounds"`
-}
-
-func (m *MobilitySpec) applyDefaults(radiusM float64) {
-	if m.Model == "" {
-		m.Model = MobilityNone
-	}
-	if m.StepM <= 0 {
-		m.StepM = radiusM / 20
-	}
-	if m.EpochRounds <= 0 {
-		m.EpochRounds = 4
-	}
-}
-
-func (m MobilitySpec) validate() error {
-	switch m.Model {
-	case MobilityNone, MobilityWaypoint:
-	default:
-		return fmt.Errorf("netsim: unknown mobility model %q (want %s or %s)",
-			m.Model, MobilityNone, MobilityWaypoint)
-	}
-	if math.IsNaN(m.StepM) || m.StepM < 1e-6 || m.StepM > 1e4 {
-		return fmt.Errorf("netsim: mobility step %g m outside [1e-6, 1e4]", m.StepM)
-	}
-	if m.EpochRounds < 1 || m.EpochRounds > 1<<20 {
-		return fmt.Errorf("netsim: mobility epoch %d rounds outside [1, %d]", m.EpochRounds, 1<<20)
-	}
-	return nil
 }
 
 func (m MobilitySpec) enabled() bool { return m.Model == MobilityWaypoint }

@@ -104,15 +104,15 @@ func TestIndependentSchedulingAddsInterference(t *testing.T) {
 }
 
 func TestCoChannelIsolationSentinel(t *testing.T) {
-	spec := ReaderSpec{Count: 2, IsolationdB: -1}
-	spec.applyDefaults(10)
-	if spec.IsolationdB != 0 {
-		t.Fatalf("negative isolation must request genuine 0 dB, got %g", spec.IsolationdB)
+	spec := Scenario{Readers: ReaderSpec{Count: 2, IsolationdB: -1}}
+	spec.ApplyDefaults()
+	if spec.Readers.IsolationdB != 0 {
+		t.Fatalf("negative isolation must request genuine 0 dB, got %g", spec.Readers.IsolationdB)
 	}
-	var unset ReaderSpec
-	unset.applyDefaults(10)
-	if unset.IsolationdB != 20 {
-		t.Fatalf("zero isolation must keep the 20 dB default, got %g", unset.IsolationdB)
+	var unset Scenario
+	unset.ApplyDefaults()
+	if unset.Readers.IsolationdB != 20 {
+		t.Fatalf("zero isolation must keep the 20 dB default, got %g", unset.Readers.IsolationdB)
 	}
 
 	// Co-channel readers leak everything: SNR must sit far below the

@@ -289,6 +289,26 @@ func FuzzParseScenario(f *testing.F) {
 	// An offered load past the int32 arrival count once ran and
 	// reported billions of frames; Validate now rejects it.
 	f.Add([]byte(`{"tags": 4, "offered_load": 3e9}`))
+	// Every numeric knob at each bound and just outside it, with its
+	// optional spec switched on.
+	for _, k := range knobs {
+		if k.enum != nil {
+			continue
+		}
+		vals := []float64{k.lo, k.hi, math.Nextafter(k.lo, math.Inf(-1)), math.Nextafter(k.hi, math.Inf(1))}
+		if k.kind == reflect.Int {
+			vals[2], vals[3] = k.lo-1, k.hi+1
+		}
+		for _, v := range vals {
+			sc := gatedBase()
+			k.setNum(&sc, v)
+			b, err := json.Marshal(sc)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+		}
+	}
 	validate := func(sc Scenario) error {
 		sc.ApplyDefaults()
 		return sc.Validate()

@@ -10,7 +10,6 @@ package netsim
 // frame boundaries — plays out at network scale.
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/mac"
@@ -54,71 +53,6 @@ type RateAdaptSpec struct {
 }
 
 func (r RateAdaptSpec) enabled() bool { return r.Adapter != "" }
-
-func (r *RateAdaptSpec) applyDefaults() {
-	if !r.enabled() {
-		return
-	}
-	if len(r.Rates) == 0 {
-		r.Rates = append([]rateadapt.RateSpec(nil), rateadapt.DefaultRates...)
-	}
-	// Only the zero value takes the default: a negative threshold must
-	// survive to Validate and be rejected there, not silently coerced.
-	if r.UpAfter == 0 {
-		if r.Adapter == RateAdaptFD {
-			r.UpAfter = 5
-		} else {
-			r.UpAfter = 3
-		}
-	}
-	if r.DownAfter == 0 {
-		r.DownAfter = 1
-	}
-}
-
-// validate rejects degenerate knobs with actionable errors instead of
-// letting NaNs or inverted rate tables propagate silently.
-func (r RateAdaptSpec) validate() error {
-	if !r.enabled() {
-		if r.FadeRho != 0 || len(r.Rates) != 0 || r.UpAfter != 0 || r.DownAfter != 0 {
-			return fmt.Errorf("netsim: rate_adapt fields set without an adapter (set rate_adapt.adapter to %s, %s or %s)",
-				RateAdaptFixed, RateAdaptARF, RateAdaptFD)
-		}
-		return nil
-	}
-	switch r.Adapter {
-	case RateAdaptFixed, RateAdaptARF, RateAdaptFD:
-	default:
-		return fmt.Errorf("netsim: unknown rate adapter %q (want %s, %s or %s)",
-			r.Adapter, RateAdaptFixed, RateAdaptARF, RateAdaptFD)
-	}
-	// The negated comparison also rejects NaN, which would otherwise
-	// pass every < / >= test and poison the fading recursion.
-	if !(r.FadeRho >= 0 && r.FadeRho < 1) {
-		return fmt.Errorf("netsim: fade rho %g outside [0, 1) (0 disables fading; 1 would freeze the process)", r.FadeRho)
-	}
-	for i, rt := range r.Rates {
-		if !(rt.Mult > 0) {
-			return fmt.Errorf("netsim: rate %d (%s) multiplier %g must be positive", i, rt.Name, rt.Mult)
-		}
-		if i > 0 && !(rt.Mult > r.Rates[i-1].Mult) {
-			return fmt.Errorf("netsim: rate table multipliers must be strictly increasing (rate %d %s has %g after %g)",
-				i, rt.Name, rt.Mult, r.Rates[i-1].Mult)
-		}
-		if !(rt.ReqSNRdB >= -30 && rt.ReqSNRdB <= 60) {
-			return fmt.Errorf("netsim: rate %d (%s) required SNR %g dB outside [-30, 60]", i, rt.Name, rt.ReqSNRdB)
-		}
-		if i > 0 && rt.ReqSNRdB < r.Rates[i-1].ReqSNRdB {
-			return fmt.Errorf("netsim: rate table SNR requirements must be non-decreasing (rate %d %s requires %g dB after %g)",
-				i, rt.Name, rt.ReqSNRdB, r.Rates[i-1].ReqSNRdB)
-		}
-	}
-	if r.UpAfter < 0 || r.DownAfter < 0 || r.UpAfter > math.MaxInt32 || r.DownAfter > math.MaxInt32 {
-		return fmt.Errorf("netsim: rate_adapt up_after %d / down_after %d outside [0, %d] (0 takes the default)",
-			r.UpAfter, r.DownAfter, math.MaxInt32)
-	}
-	return nil
-}
 
 // fixedIndex is the rate RateAdaptFixed pins: the entry whose multiplier
 // is nearest 1x on a ratio scale (ties go to the slower rate).

@@ -133,10 +133,10 @@ func TestRateAdaptValidation(t *testing.T) {
 		sc   Scenario
 		want string
 	}{
-		{"unknown adapter", mk(func(s *Scenario) { s.RateAdapt.Adapter = "aimd" }), "unknown rate adapter"},
-		{"rho negative", mk(func(s *Scenario) { s.RateAdapt.FadeRho = -0.1 }), "fade rho"},
-		{"rho one", mk(func(s *Scenario) { s.RateAdapt.FadeRho = 1 }), "fade rho"},
-		{"rho NaN", mk(func(s *Scenario) { s.RateAdapt.FadeRho = nan }), "fade rho"},
+		{"unknown adapter", mk(func(s *Scenario) { s.RateAdapt.Adapter = "aimd" }), "unknown rate_adapt.adapter"},
+		{"rho negative", mk(func(s *Scenario) { s.RateAdapt.FadeRho = -0.1 }), "fade_rho"},
+		{"rho one", mk(func(s *Scenario) { s.RateAdapt.FadeRho = 1 }), "fade_rho"},
+		{"rho NaN", mk(func(s *Scenario) { s.RateAdapt.FadeRho = nan }), "fade_rho"},
 		{"orphan fade_rho", Scenario{Tags: 4, RateAdapt: RateAdaptSpec{FadeRho: 0.5}}, "without an adapter"},
 		{"non-increasing mult", mk(func(s *Scenario) {
 			s.RateAdapt.Rates = []rateadapt.RateSpec{

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"fmt"
 	"math"
 )
 
@@ -65,71 +64,6 @@ type ReaderSpec struct {
 	// (default 16 rounds): a head-of-line frame older than this is
 	// dropped instead of served.
 	DeadlineRounds int `json:"deadline_rounds,omitempty"`
-}
-
-func (r *ReaderSpec) applyDefaults(radiusM float64) {
-	if r.Count <= 0 {
-		r.Count = 1
-	}
-	if r.Placement == "" {
-		r.Placement = ReaderGrid
-	}
-	if r.SpacingM <= 0 {
-		r.SpacingM = radiusM
-	}
-	if r.Scheduling == "" {
-		r.Scheduling = SchedulingIndependent
-	}
-	switch {
-	case r.IsolationdB < 0:
-		r.IsolationdB = 0 // explicit co-channel request
-	case r.IsolationdB == 0:
-		r.IsolationdB = 20
-	}
-	if r.Policy == "" {
-		r.Policy = PolicyAloha
-	}
-	if r.Policy == PolicyDeadline && r.DeadlineRounds == 0 {
-		r.DeadlineRounds = 16
-	}
-}
-
-func (r ReaderSpec) validate() error {
-	switch r.Placement {
-	case ReaderGrid, ReaderLine, ReaderRing:
-	default:
-		return fmt.Errorf("netsim: unknown reader placement %q (want %s, %s or %s)",
-			r.Placement, ReaderGrid, ReaderLine, ReaderRing)
-	}
-	switch r.Scheduling {
-	case SchedulingIndependent, SchedulingTDM:
-	default:
-		return fmt.Errorf("netsim: unknown reader scheduling %q (want %s or %s)",
-			r.Scheduling, SchedulingIndependent, SchedulingTDM)
-	}
-	if r.Count > 64 {
-		return fmt.Errorf("netsim: reader count %d unreasonably large", r.Count)
-	}
-	if math.IsNaN(r.SpacingM) || r.SpacingM < 1e-3 || r.SpacingM > 1e4 {
-		return fmt.Errorf("netsim: reader spacing %g m outside [1e-3, 1e4]", r.SpacingM)
-	}
-	if r.IsolationdB > 200 {
-		return fmt.Errorf("netsim: channel isolation %g dB unreasonably large", r.IsolationdB)
-	}
-	switch r.Policy {
-	case PolicyAloha, PolicyFIFO, PolicyPropFair, PolicyDeadline:
-	default:
-		return fmt.Errorf("netsim: unknown reader policy %q (want %s, %s, %s or %s)",
-			r.Policy, PolicyAloha, PolicyFIFO, PolicyPropFair, PolicyDeadline)
-	}
-	if r.DeadlineRounds != 0 && r.Policy != PolicyDeadline {
-		return fmt.Errorf("netsim: deadline_rounds set but policy is %q (want %s)",
-			r.Policy, PolicyDeadline)
-	}
-	if r.DeadlineRounds < 0 {
-		return fmt.Errorf("netsim: deadline_rounds %d negative", r.DeadlineRounds)
-	}
-	return nil
 }
 
 // PlaceReaders returns the deterministic reader positions for a spec

@@ -136,17 +136,17 @@ func TestValidateBoundsRFParameters(t *testing.T) {
 		sc   Scenario
 		want string
 	}{
-		{"snr cliff too low", Scenario{ReqSNRdB: -200}, "SNR cliff"},
-		{"snr cliff too high", Scenario{ReqSNRdB: 80}, "SNR cliff"},
-		{"path loss exponent below free space", Scenario{PathLossExp: 0.5}, "path loss exponent"},
-		{"path loss exponent absurd", Scenario{PathLossExp: 12}, "path loss exponent"},
-		{"feedback window too small", Scenario{FeedbackSamplesPerBit: 1}, "feedback samples"},
-		{"feedback window absurd", Scenario{FeedbackSamplesPerBit: 1 << 24}, "feedback samples"},
+		{"snr cliff too low", Scenario{ReqSNRdB: -200}, "req_snr_db"},
+		{"snr cliff too high", Scenario{ReqSNRdB: 80}, "req_snr_db"},
+		{"path loss exponent below free space", Scenario{PathLossExp: 0.5}, "path_loss_exp"},
+		{"path loss exponent absurd", Scenario{PathLossExp: 12}, "path_loss_exp"},
+		{"feedback window too small", Scenario{FeedbackSamplesPerBit: 1}, "feedback_samples_per_bit"},
+		{"feedback window absurd", Scenario{FeedbackSamplesPerBit: 1 << 24}, "feedback_samples_per_bit"},
 		// Above 2^31 the round's arrival count overflowed int32 and the
 		// run reported billions of offered frames.
-		{"offered load overflows", Scenario{OfferedLoad: 3e9}, "offered load"},
-		{"offered load NaN", Scenario{OfferedLoad: math.NaN()}, "offered load"},
-		{"offered load negative", Scenario{OfferedLoad: -0.5}, "offered load"},
+		{"offered load overflows", Scenario{OfferedLoad: 3e9}, "offered_load"},
+		{"offered load NaN", Scenario{OfferedLoad: math.NaN()}, "offered_load"},
+		{"offered load negative", Scenario{OfferedLoad: -0.5}, "offered_load"},
 	}
 	for _, c := range cases {
 		_, err := Run(c.sc, 1)

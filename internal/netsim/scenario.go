@@ -4,20 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 )
 
 // Scenario declares one multi-tag deployment as data: geometry, RF
 // parameters, traffic, MAC dimensions, and the per-tag energy budget.
-// Zero fields take defaults (see ApplyDefaults), so a JSON file only
+// Zero fields take defaults (see ApplyDefaults; each knob's default and
+// bounds are one row of the table in knobs.go), so a JSON file only
 // needs the knobs it cares about. The run seed is NOT part of the
 // scenario — it is supplied per run, so one scenario replays under many
 // seeds.
 type Scenario struct {
 	// Name labels the scenario in tables and logs.
-	Name string `json:"name"` //fdlint:novalidate free-form label; any string is a valid name
+	Name string `json:"name"`
 
 	// Deployment geometry.
 
@@ -81,9 +81,9 @@ type Scenario struct {
 	// ReqSNRdB is the forward SNR at which chunk loss is 50% (logistic
 	// cliff). Zero selects the default of DefaultReqSNRdB (10 dB, the
 	// 1x rate of the adaptation rate table); to configure a genuine
-	// 0 dB cliff set any value at or below ReqSNRZero (-999), which
-	// ApplyDefaults maps to exactly 0. Other values must pass the
-	// Validate bounds ([-30, 60] dB).
+	// 0 dB cliff set any value at or below -999, such as ReqSNRZero
+	// (-1000), which ApplyDefaults maps to exactly 0. Other values must
+	// pass the Validate bounds ([-30, 60] dB).
 	ReqSNRdB float64 `json:"req_snr_db"`
 	// FeedbackSamplesPerBit sizes the feedback averaging window used to
 	// derive each tag's feedback BER from its geometry (default 100).
@@ -119,7 +119,7 @@ type Scenario struct {
 	// byte-identical to the exact engine — it is validated against it
 	// within a pinned tolerance. Contention, energy and mobility remain
 	// fully simulated.
-	Analytic bool `json:"analytic"` //fdlint:novalidate boolean mode switch; both values are valid
+	Analytic bool `json:"analytic"`
 
 	// MAC dimensions (shared by every tag).
 
@@ -173,221 +173,6 @@ const (
 	// at or below -999 — stands in for exact zero.
 	ReqSNRZero = -1000
 )
-
-// ApplyDefaults fills zero fields in place with the documented defaults.
-func (s *Scenario) ApplyDefaults() {
-	if s.Name == "" {
-		s.Name = "scenario"
-	}
-	if s.Tags <= 0 {
-		s.Tags = 8
-	}
-	if s.Topology == "" {
-		s.Topology = TopologyGrid
-	}
-	if s.RadiusM <= 0 {
-		s.RadiusM = 4
-	}
-	if s.Clusters <= 0 {
-		s.Clusters = 3
-	}
-	if s.ClusterSpreadM <= 0 {
-		s.ClusterSpreadM = s.RadiusM / 8
-	}
-	s.Readers.applyDefaults(s.RadiusM)
-	s.Mobility.applyDefaults(s.RadiusM)
-	s.RateAdapt.applyDefaults()
-	s.Congestion.applyDefaults()
-	s.Faults.applyDefaults()
-	if s.FreqHz <= 0 {
-		s.FreqHz = 915e6
-	}
-	if s.PathLossExp <= 0 {
-		s.PathLossExp = 2.5
-	}
-	if s.TxPowerW <= 0 {
-		s.TxPowerW = 0.1
-	}
-	if s.NoiseW <= 0 {
-		s.NoiseW = 1e-9
-	}
-	if s.Rho <= 0 {
-		s.Rho = 0.3
-	}
-	switch {
-	case s.ReqSNRdB <= -999:
-		s.ReqSNRdB = 0 // the ReqSNRZero sentinel: a genuine 0 dB cliff
-	case s.ReqSNRdB == 0:
-		s.ReqSNRdB = DefaultReqSNRdB
-	}
-	if s.FeedbackSamplesPerBit <= 0 {
-		s.FeedbackSamplesPerBit = 100
-	}
-	if s.FramesPerTag <= 0 {
-		s.FramesPerTag = 4
-	}
-	if s.MaxRounds <= 0 {
-		s.MaxRounds = 64
-	}
-	if s.ContentionWindow <= 0 {
-		perReader := (s.Tags + s.Readers.Count - 1) / s.Readers.Count
-		s.ContentionWindow = 2 * perReader
-	}
-	if s.QueueCap <= 0 {
-		s.QueueCap = 16
-	}
-	// Closed-loop preload must fit the queue: with QueueCap below
-	// FramesPerTag, frames undelivered after MaxAttempts would find the
-	// queue "full" at re-queue time and be dropped instead of retried.
-	if s.OfferedLoad == 0 && s.QueueCap < s.FramesPerTag {
-		s.QueueCap = s.FramesPerTag
-	}
-	if s.Protocol == "" {
-		s.Protocol = "full-duplex"
-	}
-	if s.PayloadBytes <= 0 {
-		s.PayloadBytes = 256
-	}
-	if s.ChunkBytes <= 0 {
-		s.ChunkBytes = 32
-	}
-	if s.AbortThreshold == 0 {
-		s.AbortThreshold = 2
-	}
-	if s.BackoffChunks <= 0 {
-		s.BackoffChunks = 8
-	}
-	if s.MaxAttempts <= 0 {
-		s.MaxAttempts = 8
-	}
-	if s.HarvesterEff <= 0 {
-		s.HarvesterEff = 0.3
-	}
-	if s.HarvesterFloorW <= 0 {
-		s.HarvesterFloorW = 1e-7
-	}
-	if s.CapacitanceF <= 0 {
-		s.CapacitanceF = 4.7e-6
-	}
-	if s.IdleCircuitW <= 0 {
-		s.IdleCircuitW = 2e-7
-	}
-	if s.TxEnergyJ <= 0 {
-		s.TxEnergyJ = 5e-7
-	}
-	if s.BitRateBps <= 0 {
-		s.BitRateBps = 1e6
-	}
-	if s.StartVoltageV <= 0 {
-		s.StartVoltageV = 2.4
-	}
-}
-
-// Validate checks a scenario after defaults; it reports the first
-// problem found.
-func (s Scenario) Validate() error {
-	switch s.Topology {
-	case TopologyGrid, TopologyUniformDisc, TopologyClustered, TopologyCells:
-	default:
-		return fmt.Errorf("netsim: unknown topology %q", s.Topology)
-	}
-	switch s.Protocol {
-	case "full-duplex", "stop-and-wait", "block-ack":
-	default:
-		return fmt.Errorf("netsim: unknown protocol %q (want full-duplex, stop-and-wait or block-ack)", s.Protocol)
-	}
-	if err := s.Readers.validate(); err != nil {
-		return err
-	}
-	if err := s.Mobility.validate(); err != nil {
-		return err
-	}
-	if err := s.RateAdapt.validate(); err != nil {
-		return err
-	}
-	if err := s.Congestion.validate(); err != nil {
-		return err
-	}
-	if err := s.Faults.validate(s.Readers.Count); err != nil {
-		return err
-	}
-	if s.Rho < 0 || s.Rho > 1 {
-		return fmt.Errorf("netsim: rho %g outside [0, 1]", s.Rho)
-	}
-	if s.Tags > 1<<22 {
-		return fmt.Errorf("netsim: tag count %d unreasonably large", s.Tags)
-	}
-	if s.Tags*s.Readers.Count > 1<<23 {
-		return fmt.Errorf("netsim: %d tags x %d readers needs %d path-loss evaluations per epoch (cap %d)",
-			s.Tags, s.Readers.Count, s.Tags*s.Readers.Count, 1<<23)
-	}
-	// A round's Poisson draw is counted in int32, and no tag can queue
-	// more than the queue_cap bound anyway; NaN fails every comparison.
-	if math.IsNaN(s.OfferedLoad) || s.OfferedLoad < 0 || s.OfferedLoad > 1<<20 {
-		return fmt.Errorf("netsim: offered load %g outside [0, %d]", s.OfferedLoad, 1<<20)
-	}
-	if s.AbortThreshold < 0 {
-		return fmt.Errorf("netsim: abort threshold %d must be non-negative", s.AbortThreshold)
-	}
-	if s.ReqSNRdB < -30 || s.ReqSNRdB > 60 {
-		return fmt.Errorf("netsim: required SNR cliff %g dB outside [-30, 60] (0 takes the default, <= -999 requests a genuine 0 dB cliff)", s.ReqSNRdB)
-	}
-	if s.PathLossExp < 1 || s.PathLossExp > 8 {
-		return fmt.Errorf("netsim: path loss exponent %g outside [1, 8]", s.PathLossExp)
-	}
-	if s.FeedbackSamplesPerBit < 2 || s.FeedbackSamplesPerBit > 1<<20 {
-		return fmt.Errorf("netsim: feedback samples per bit %d outside [2, %d]", s.FeedbackSamplesPerBit, 1<<20)
-	}
-	// Physical knobs: defaults (ApplyDefaults runs first) land every one
-	// of these in range, so a violation here is an explicit config value.
-	// NaN fails every comparison, so it needs its own rejection; ±Inf
-	// falls out of the bounds.
-	for _, p := range []struct {
-		name   string
-		v      float64
-		lo, hi float64
-	}{
-		{"radius_m", s.RadiusM, 1e-3, 1e4},
-		{"cluster_spread_m", s.ClusterSpreadM, 1e-6, 1e4},
-		{"freq_hz", s.FreqHz, 1e6, 1e11},
-		{"tx_power_w", s.TxPowerW, 1e-6, 100},
-		{"noise_w", s.NoiseW, 1e-21, 1e-3},
-		{"harvester_eff", s.HarvesterEff, 1e-4, 1},
-		{"harvester_floor_w", s.HarvesterFloorW, 1e-15, 1e-3},
-		{"capacitance_f", s.CapacitanceF, 1e-12, 1},
-		{"idle_circuit_w", s.IdleCircuitW, 1e-15, 1e-3},
-		{"tx_energy_j", s.TxEnergyJ, 1e-15, 1e-3},
-		{"bit_rate_bps", s.BitRateBps, 1e3, 1e9},
-		{"start_voltage_v", s.StartVoltageV, 0.1, 100},
-	} {
-		if math.IsNaN(p.v) || p.v < p.lo || p.v > p.hi {
-			return fmt.Errorf("netsim: %s %g outside [%g, %g]", p.name, p.v, p.lo, p.hi)
-		}
-	}
-	// Dimension knobs: post-defaults they are positive, so the checks
-	// bound runaway configs (and the engine's slice sizing) rather than
-	// re-deriving defaults.
-	for _, p := range []struct {
-		name   string
-		v      int
-		lo, hi int
-	}{
-		{"clusters", s.Clusters, 1, 1 << 16},
-		{"frames_per_tag", s.FramesPerTag, 1, 1 << 16},
-		{"max_rounds", s.MaxRounds, 1, 1 << 20},
-		{"contention_window", s.ContentionWindow, 1, 1 << 20},
-		{"queue_cap", s.QueueCap, 1, 1 << 20},
-		{"payload_bytes", s.PayloadBytes, 1, 1 << 20},
-		{"chunk_bytes", s.ChunkBytes, 1, 1 << 16},
-		{"backoff_chunks", s.BackoffChunks, 1, 1 << 16},
-		{"max_attempts", s.MaxAttempts, 1, 1 << 16},
-	} {
-		if p.v < p.lo || p.v > p.hi {
-			return fmt.Errorf("netsim: %s %d outside [%d, %d]", p.name, p.v, p.lo, p.hi)
-		}
-	}
-	return nil
-}
 
 // presets are the built-in named scenarios. Keep in sync with the README
 // scenario-engine section.
