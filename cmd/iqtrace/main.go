@@ -1,154 +1,180 @@
-// Command iqtrace renders one full-duplex frame exchange at the waveform
-// level and writes the reader's transmit waveform, the tag's incident
-// waveform, and the reader's receive waveform (with the backscatter
-// ripple) as CSV sample traces — the view a VSA/oscilloscope would give
-// on the real testbed.
+// Command iqtrace runs frames over one waveform-level full-duplex
+// backscatter link, the core.Link the experiments simulate, and prints
+// per-frame statistics and a summary. With -out it also writes every
+// sample the link renders as CSV: the reader's transmit envelope, the
+// envelope incident at the tag, the reader's receive envelope and the
+// tag's antenna state, the view a VSA/oscilloscope would give on the
+// real testbed. rx_env is empty where the reader renders no receive
+// chain: in the acquisition block past the idle pad it calibrates on.
+// stdout is the same with or without -out.
 //
 // Usage:
 //
-//	iqtrace -out trace.csv -payload 64 -rho 0.5
-//	iqtrace -stats          # print summary only, no file
+//	iqtrace -frames 10 -dist 3 -rho 0.3 -chunk 32 -payload 256
+//	iqtrace -interferer -duty 0.3 -early   # collision + early termination
+//	iqtrace -frames 1 -payload 64 -out trace.csv
 package main
 
 import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/cmplx"
 	"os"
 
-	"repro/internal/channel"
-	"repro/internal/feedback"
+	"repro/internal/core"
 	"repro/internal/phy"
-	"repro/internal/reader"
-	"repro/internal/sigproc"
 	"repro/internal/simrand"
-	"repro/internal/tag"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("iqtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out     = flag.String("out", "", "CSV output path (empty = stats only)")
-		payload = flag.Int("payload", 64, "payload bytes")
-		rho     = flag.Float64("rho", 0.3, "reflection coefficient")
-		dist    = flag.Float64("dist", 2, "distance (m)")
-		seed    = flag.Uint64("seed", 1, "random seed")
-		stats   = flag.Bool("stats", false, "print stats only")
+		frames  = fs.Int("frames", 10, "frames to transfer")
+		payload = fs.Int("payload", 256, "payload bytes per frame")
+		dist    = fs.Float64("dist", 2, "reader-tag distance (m)")
+		rho     = fs.Float64("rho", 0.3, "tag reflection coefficient")
+		chunk   = fs.Int("chunk", 32, "chunk size (bytes, 1-255)")
+		txdbm   = fs.Float64("txdbm", 20, "reader transmit power (dBm)")
+		noise   = fs.Float64("noise", -100, "receiver noise (dBm)")
+		early   = fs.Bool("early", false, "early termination on NACK")
+		intf    = fs.Bool("interferer", false, "enable a co-channel interferer")
+		duty    = fs.Float64("duty", 0.3, "interferer duty cycle")
+		seed    = fs.Uint64("seed", 1, "random seed")
+		out     = fs.String("out", "", "write every rendered sample of every frame to this CSV file")
 	)
-	flag.Parse()
-
-	modem := phy.OOK{SamplesPerChip: 4, Depth: 0.75}
-	rd, err := reader.New(reader.Config{Modem: modem})
-	if err != nil {
-		fatal(err)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
 	}
-	tg, err := tag.New(tag.Config{Modem: modem, Rho: *rho})
-	if err != nil {
-		fatal(err)
+	if *frames < 0 || *payload < 0 || *chunk < 1 || *chunk > 255 {
+		fmt.Fprintln(stderr, "iqtrace: -frames and -payload must be >= 0, -chunk in [1, 255]")
+		return 2
 	}
 
+	cfg := core.LinkConfig{
+		Modem:        phy.OOK{SamplesPerChip: 4, Depth: 0.75},
+		DistanceM:    *dist,
+		Rho:          *rho,
+		ChunkSize:    uint8(*chunk),
+		TxPowerW:     dbmToW(*txdbm),
+		ReaderNoiseW: dbmToW(*noise),
+		TagNoiseW:    dbmToW(*noise),
+		Seed:         *seed,
+	}
+	if *intf {
+		cfg.Interferer = &core.InterfererConfig{
+			PowerW: 0.5, DistanceToTagM: 1.5 * *dist, DistanceToReaderM: 2 * *dist,
+			DutyCycle: *duty, BurstChunks: 2,
+		}
+	}
+	l, err := core.NewLink(cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, "iqtrace:", err)
+		return 1
+	}
+
+	opts := core.TransferOptions{EarlyTerminate: *early, PadChips: -1}
+	var file *os.File
+	var csv *bufio.Writer
+	frame := 0
+	if *out != "" {
+		if file, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "iqtrace:", err)
+			return 1
+		}
+		defer file.Close()
+		csv = bufio.NewWriter(file)
+		fmt.Fprintln(csv, "frame,sample,tx_env,incident_env,rx_env,tag_state")
+		opts.Tap = func(b core.Block) { writeBlock(csv, frame, b) }
+	}
+
+	src := simrand.New(*seed + 1)
 	data := make([]byte, *payload)
-	src := simrand.New(*seed)
-	for i := range data {
-		data[i] = byte(src.IntN(256))
-	}
-	hdr := phy.Header{Type: phy.FrameData, Seq: 1, ChunkSize: 16}
-	wire, err := phy.BuildFrame(hdr, data, nil)
-	if err != nil {
-		fatal(err)
-	}
-	hdr.Version = phy.ProtocolVersion
-	hdr.PayloadLen = uint16(len(data))
-	wave, layout, err := rd.BuildWaveform(wire, hdr, 12)
-	if err != nil {
-		fatal(err)
-	}
-	// Propagate and run the tag phase by phase, assembling full traces.
-	pl := channel.NewLogDistance(915e6, 2.5)
-	g := pl.Gain(*dist)
-	incident := wave.Clone().ScaleReal(sqrt(g))
-	src.FillNoise(incident, 1e-12)
-
-	states := make([]byte, 0, len(wave))
-	margin := tg.MarginSamples()
-	acqView := incident[:min(layout.AcquireEnd+margin, len(incident))]
-	st, acq := tg.Acquire(acqView, layout.AcquireEnd, 1e6)
-	states = append(states, st...)
-	if acq.OK {
-		for i := 0; i < hdr.NumChunks(); i++ {
-			s, e := layout.ChunkBlock(i)
-			view := incident[s:min(e+margin, len(incident))]
-			states = append(states, tg.ProcessChunk(view, e-s, 1e6)...)
+	var delivered, aborted int
+	var fwdBits, fwdErrs, fbBits, fbErrs int
+	var used, full int64
+	var res core.TransferResult
+	for ; frame < *frames; frame++ {
+		for i := range data {
+			data[i] = byte(src.IntN(256))
 		}
-		fs, fe := layout.FlushBlock()
-		states = append(states, tg.Flush(incident[fs:fe], 0, 1e6)...)
-	} else {
-		states = feedback.AppendIdleStates(states, len(wave)-len(states))
-	}
-	for len(states) < len(wave) {
-		states = append(states, feedback.StateAbsorb)
-	}
-
-	// Reader receive chain: leak + reflection.
-	refl := tag.ReflectWaveform(incident[:len(wave)], states, *rho, nil)
-	rx := make(sigproc.IQ, len(wave))
-	leakAmp := complex(sqrt(0.01), 0)
-	bwd := complex(sqrt(g), 0)
-	for i := range rx {
-		rx[i] = leakAmp*wave[i] + bwd*refl[i]
-	}
-	src.FillNoise(rx, 1e-12)
-
-	fmt.Printf("frame: %d payload bytes, %d chunks, %d samples\n",
-		*payload, hdr.NumChunks(), len(wave))
-	fmt.Printf("tag acquired: %v (sync@%d amp=%.2e)\n", acq.OK, acq.SyncIndex, acq.AmpEstimate)
-	if acq.OK {
-		oks := tg.ChunkResults()
-		good := 0
-		for _, ok := range oks {
-			if ok {
-				good++
-			}
+		if err := l.TransferFrameInto(data, opts, &res); err != nil {
+			fmt.Fprintln(stderr, "iqtrace:", err)
+			return 1
 		}
-		fmt.Printf("chunks OK at tag: %d/%d\n", good, len(oks))
+		status := "ok"
+		switch {
+		case !res.Acquired:
+			status = "NO-SYNC"
+		case res.Aborted:
+			status = fmt.Sprintf("ABORT@%d", res.AbortAfterChunk)
+		case !res.DeliveredOK:
+			status = "CORRUPT"
+		}
+		fmt.Fprintf(stdout, "frame %2d seq=%3d %-9s chunks=%d fwdErrs=%d fbErrs=%d/%d airtime=%d/%d harvested=%.2euJ\n",
+			frame, res.Header.Seq, status, len(res.Chunks),
+			res.ForwardBitErrors, res.FeedbackErrors, res.FeedbackBits,
+			res.SamplesUsed, res.SamplesFull, res.HarvestedJ*1e6)
+		if res.DeliveredOK {
+			delivered++
+		}
+		if res.Aborted {
+			aborted++
+		}
+		fwdBits += res.ForwardBits
+		fwdErrs += res.ForwardBitErrors
+		fbBits += res.FeedbackBits
+		fbErrs += res.FeedbackErrors
+		used += int64(res.SamplesUsed)
+		full += int64(res.SamplesFull)
 	}
-	reflecting := 0
-	for _, s := range states {
-		if s == feedback.StateReflect {
-			reflecting++
+	fmt.Fprintf(stdout, "\ndelivered %d/%d frames, aborted %d\n", delivered, *frames, aborted)
+	if fwdBits > 0 {
+		fmt.Fprintf(stdout, "forward BER  %.3e (%d/%d)\n", float64(fwdErrs)/float64(fwdBits), fwdErrs, fwdBits)
+	}
+	if fbBits > 0 {
+		fmt.Fprintf(stdout, "feedback BER %.3e (%d/%d)\n", float64(fbErrs)/float64(fbBits), fbErrs, fbBits)
+	}
+	if full > 0 {
+		fmt.Fprintf(stdout, "airtime used %.1f%% of booked\n", 100*float64(used)/float64(full))
+	}
+	if csv != nil {
+		err := csv.Flush()
+		if err == nil {
+			err = file.Close()
+		}
+		if err != nil {
+			fmt.Fprintln(stderr, "iqtrace:", err)
+			return 1
 		}
 	}
-	fmt.Printf("tag reflected %.1f%% of samples\n", 100*float64(reflecting)/float64(len(states)))
-
-	if *stats || *out == "" {
-		return
-	}
-	f, err := os.Create(*out)
-	if err != nil {
-		fatal(err)
-	}
-	defer f.Close()
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, "sample,tx_env,incident_env,rx_env,tag_state")
-	for i := range wave {
-		fmt.Fprintf(w, "%d,%.6e,%.6e,%.6e,%d\n",
-			i, cmplx.Abs(wave[i]), cmplx.Abs(incident[i]), cmplx.Abs(rx[i]), states[i])
-	}
-	if err := w.Flush(); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %d samples to %s\n", len(wave), *out)
+	return 0
 }
 
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
+// writeBlock appends one CSV row per sample of a tapped block. The
+// acquisition block's Rx covers only the idle pad; past it rx_env is
+// left empty.
+func writeBlock(w io.Writer, frame int, b core.Block) {
+	for i := range b.Tx {
+		rx := ""
+		if i < len(b.Rx) {
+			rx = fmt.Sprintf("%.6e", cmplx.Abs(b.Rx[i]))
+		}
+		fmt.Fprintf(w, "%d,%d,%.6e,%.6e,%s,%d\n", frame, b.Start+i,
+			cmplx.Abs(b.Tx[i]), cmplx.Abs(b.Incident[i]), rx, b.States[i])
 	}
-	return math.Sqrt(x)
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+func dbmToW(dbm float64) float64 {
+	return math.Pow(10, dbm/10) / 1000
 }

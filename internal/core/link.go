@@ -254,6 +254,28 @@ type TransferOptions struct {
 	// PadChips overrides the random idle padding before the preamble
 	// (negative = randomise from the link's seed).
 	PadChips int
+	// Tap, when non-nil, is called once for each block the exchange
+	// renders, in sample order: acquisition, each transmitted chunk,
+	// then the flush slot. It observes; the result is the same with or
+	// without it.
+	Tap func(Block)
+}
+
+// Block is one rendered stretch of a frame exchange, as handed to
+// TransferOptions.Tap. Tx, Incident and States cover the same samples,
+// Start onwards: the reader's transmit waveform at its output power,
+// the waveform incident at the tag, and the tag's antenna state per
+// sample. Rx is the reader's receive chain over the block, except in
+// the acquisition block, where the reader renders only the idle pad it
+// calibrates on: there Rx is the pad's length (empty without a pad).
+// A frame the tag fails to acquire renders only the acquisition block,
+// although its SamplesUsed books the whole frame. The slices alias link
+// scratch: they are valid only during the call and must not be
+// modified.
+type Block struct {
+	Start            int
+	Tx, Incident, Rx sigproc.IQ
+	States           []byte
 }
 
 // ChunkReport pairs ground truth with what each side observed for one
@@ -387,16 +409,21 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 	acqEnd := layout.AcquireEnd
 	viewEnd := minInt(acqEnd+margin, len(wave))
 	incident := l.propagateToTag(wave[:viewEnd], 0, false)
-	_, acq := l.tg.Acquire(incident, acqEnd, cfg.SampleRate)
+	acqStates, acq := l.tg.Acquire(incident, acqEnd, cfg.SampleRate)
 	res.Acquired = acq.OK
 	res.SamplesUsed = acqEnd
 	// Reader calibrates its leakage estimate on the idle pad (tag is
 	// absorbing there).
+	padRx := l.rdRx[:0]
 	if layout.PadLen > 0 {
 		l.idleStates = feedback.AppendIdleStates(l.idleStates[:0], layout.PadLen)
 		l.rdRx = l.receiverBlock(wave[:layout.PadLen], incident[:layout.PadLen],
 			l.idleStates, false, l.rdRx)
 		l.rd.Calibrate(l.rdRx, wave[:layout.PadLen])
+		padRx = l.rdRx
+	}
+	if opts.Tap != nil {
+		opts.Tap(Block{Tx: wave[:acqEnd], Incident: incident[:acqEnd], Rx: padRx, States: acqStates})
 	}
 	if !acq.OK {
 		// Tag deaf: the reader transmits the whole frame and hears no
@@ -436,6 +463,9 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 		l.rdRx = l.receiverBlock(wave[s:e], incident[:blockLen], states, interfered, l.rdRx)
 		bit, m := l.rd.DecodeFeedbackBit(l.rdRx, wave[s:e])
 		res.FeedbackBits++
+		if opts.Tap != nil {
+			opts.Tap(Block{Start: s, Tx: wave[s:e], Incident: incident[:blockLen], Rx: l.rdRx, States: states})
+		}
 
 		rep := ChunkReport{Interfered: interfered, ReaderSawBit: true, ReaderBit: bit, Margin: m}
 		if opts.DisableFeedback {
@@ -481,6 +511,9 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 			states := l.tg.Flush(incident, 0, cfg.SampleRate)
 			l.rdRx = l.receiverBlock(wave[fs:fe], incident, states, false, l.rdRx)
 			bit, m := l.rd.DecodeFeedbackBit(l.rdRx, wave[fs:fe])
+			if opts.Tap != nil {
+				opts.Tap(Block{Start: fs, Tx: wave[fs:fe], Incident: incident, Rx: l.rdRx, States: states})
+			}
 			if !opts.DisableFeedback && n > 0 {
 				res.FeedbackBits++
 				if bit != truthBits[len(truthBits)-1] {

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/channel"
@@ -399,6 +400,77 @@ func TestTransferFrameIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state TransferFrameInto allocates %.1f objects/frame, budget is 0", allocs)
+	}
+}
+
+// A tap observes the exchange without perturbing it: a tapped link
+// returns exactly the results of an untapped twin, frame after frame.
+// Its blocks tile the rendered frame from sample 0 (acquisition, each
+// transmitted chunk, the flush slot unless the reader aborted), with
+// Tx, Incident and States of one length; an unacquired frame renders
+// only its acquisition block.
+func TestTapIsReadOnlyAndCoversEverySample(t *testing.T) {
+	var aborted, flushed, noSync int
+	for _, dist := range []float64{2, 3000} {
+		cfg := cleanLinkConfig(9)
+		cfg.DistanceM = dist
+		cfg.Interferer = &InterfererConfig{
+			PowerW: 0.5, DistanceToTagM: 3, DistanceToReaderM: 4, DutyCycle: 0.5, BurstChunks: 2,
+		}
+		plain, tapped := mustLink(t, cfg), mustLink(t, cfg)
+		for f := 0; f < 12; f++ {
+			payload := testPayload(192, uint64(f))
+			opts := TransferOptions{PadChips: -1, EarlyTerminate: true}
+			want, err := plain.TransferFrame(payload, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var blocks []Block
+			opts.Tap = func(b Block) { blocks = append(blocks, b) }
+			got, err := tapped.TransferFrame(payload, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dist %g frame %d: tapped result differs\n got %+v\nwant %+v", dist, f, got, want)
+			}
+
+			next := 0
+			for i, b := range blocks {
+				if b.Start != next || len(b.Tx) == 0 || len(b.Incident) != len(b.Tx) || len(b.States) != len(b.Tx) {
+					t.Fatalf("dist %g frame %d block %d: start %d (want %d), tx %d, incident %d, states %d",
+						dist, f, i, b.Start, next, len(b.Tx), len(b.Incident), len(b.States))
+				}
+				if (i == 0 && len(b.Rx) > len(b.Tx)) || (i > 0 && len(b.Rx) != len(b.Tx)) {
+					t.Fatalf("dist %g frame %d block %d: rx %d samples over tx %d", dist, f, i, len(b.Rx), len(b.Tx))
+				}
+				next += len(b.Tx)
+			}
+			switch {
+			case !got.Acquired:
+				noSync++
+				if len(blocks) != 1 || next > got.SamplesUsed {
+					t.Fatalf("dist %g frame %d: unacquired frame tapped %d blocks ending at %d of %d",
+						dist, f, len(blocks), next, got.SamplesUsed)
+				}
+				continue
+			case got.Aborted:
+				aborted++
+			default:
+				flushed++
+			}
+			wantBlocks := 1 + len(got.Chunks)
+			if !got.Aborted {
+				wantBlocks++
+			}
+			if len(blocks) != wantBlocks || next != got.SamplesUsed {
+				t.Fatalf("dist %g frame %d: %d blocks ending at %d, want %d ending at SamplesUsed %d",
+					dist, f, len(blocks), next, wantBlocks, got.SamplesUsed)
+			}
+		}
+	}
+	if aborted == 0 || flushed == 0 || noSync == 0 {
+		t.Fatalf("sequence must cover every exit: aborted %d, flushed %d, unacquired %d", aborted, flushed, noSync)
 	}
 }
 

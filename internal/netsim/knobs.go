@@ -81,6 +81,10 @@ type knob struct {
 	gate  uint8 // resolved once from path
 }
 
+// maxRates bounds rate_adapt.rates: four times the modem's 4-entry
+// rate table.
+const maxRates = 16
+
 // belowOne is the largest float64 below 1: the upper bound of the
 // knobs that must stay strictly below 1.
 const belowOne = 1 - 0x1p-53
@@ -424,6 +428,11 @@ func (s Scenario) Validate() error {
 	r := s.RateAdapt
 	if !r.enabled() && len(r.Rates) != 0 {
 		return fmt.Errorf("netsim: %s", gates[gateRateAdapt].orphan)
+	}
+	// Per-tag adaptation state keeps a column per rate, so the table's
+	// length scales memory with the tag count.
+	if r.enabled() && (len(r.Rates) < 1 || len(r.Rates) > maxRates) {
+		return fmt.Errorf("netsim: rate_adapt.rates length %d outside [1, %d]", len(r.Rates), maxRates)
 	}
 	for i, rt := range r.Rates {
 		if !(rt.Mult > 0) {

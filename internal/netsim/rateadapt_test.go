@@ -9,6 +9,7 @@ package netsim
 import (
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -158,6 +159,8 @@ func TestRateAdaptValidation(t *testing.T) {
 			s.RateAdapt.Rates = []rateadapt.RateSpec{
 				{Name: "a", Mult: 1, ReqSNRdB: 10}, {Name: "b", Mult: 2, ReqSNRdB: 4}}
 		}), "non-decreasing"},
+		{"rate table past 16 entries", mk(func(s *Scenario) { s.RateAdapt.Rates = rateTable(17) }),
+			"rate_adapt.rates length 17 outside [1, 16]"},
 		{"negative up_after", mk(func(s *Scenario) { s.RateAdapt.UpAfter = -2 }), "up_after"},
 		{"negative down_after", mk(func(s *Scenario) { s.RateAdapt.DownAfter = -1 }), "down_after"},
 		// The adapter streak columns are int32 (see streak32).
@@ -173,6 +176,18 @@ func TestRateAdaptValidation(t *testing.T) {
 			t.Fatalf("%s: error %q does not mention %q", c.name, err, c.want)
 		}
 	}
+	if _, err := Run(mk(func(s *Scenario) { s.RateAdapt.Rates = rateTable(16) }), 1); err != nil {
+		t.Fatalf("16-entry rate table rejected: %v", err)
+	}
+}
+
+// rateTable returns a valid table of n rates.
+func rateTable(n int) []rateadapt.RateSpec {
+	rates := make([]rateadapt.RateSpec, n)
+	for i := range rates {
+		rates[i] = rateadapt.RateSpec{Name: "r" + strconv.Itoa(i), Mult: float64(i + 1), ReqSNRdB: float64(i)}
+	}
+	return rates
 }
 
 // Adaptation statistics must be internally consistent for any run.
