@@ -110,3 +110,43 @@ func TestListAnalyzers(t *testing.T) {
 		}
 	}
 }
+
+// noalloc compiles the target module with -gcflags=-m: an escaping
+// make inside an annotated function is a finding on its own line, which
+// only the compile in the -C directory can report.
+func TestNoallocCompilesTarget(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod": goMod,
+		"demo.go": "package fdlintdemo\n\nvar sink []byte\n\n//fdlint:noalloc\nfunc Demo(n int) {\n" +
+			"\tsink = make([]byte, n)\n}\n",
+	})
+	var out, errb bytes.Buffer
+	if code := run([]string{"-C", dir, "-json", "./..."}, &out, &errb); code != exitFindings {
+		t.Fatalf("exit = %d, want %d; stdout=%q stderr=%q", code, exitFindings, out.String(), errb.String())
+	}
+	var f jsonFinding
+	if err := json.Unmarshal(bytes.TrimSpace(out.Bytes()), &f); err != nil {
+		t.Fatalf("want one NDJSON finding, got %q: %v", out.String(), err)
+	}
+	if !strings.HasSuffix(f.Path, "demo.go") || f.Line != 7 || f.Analyzer != "noalloc" ||
+		!strings.Contains(f.Message, "escapes to heap") {
+		t.Fatalf("finding fields wrong: %+v", f)
+	}
+}
+
+// A package that type-checks but does not build (a bodyless func with
+// no assembly) cannot be compiled with -m: that is a failed run, exit
+// 2, never a clean one.
+func TestNoallocCompileFailure(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":  goMod,
+		"demo.go": "package fdlintdemo\n\nfunc ext()\n\n//fdlint:noalloc\nfunc Demo() { ext() }\n",
+	})
+	var out, errb bytes.Buffer
+	if code := run([]string{"-C", dir, "./..."}, &out, &errb); code != exitLoadFail {
+		t.Fatalf("exit = %d, want %d; stdout=%q stderr=%q", code, exitLoadFail, out.String(), errb.String())
+	}
+	if !strings.Contains(errb.String(), "go build -gcflags=-m") {
+		t.Fatalf("stderr does not name the failed compile: %q", errb.String())
+	}
+}

@@ -4,8 +4,11 @@
 // determinism tests, AllocsPerRun tests, the CI perf gate). Each
 // contract has one analyzer.
 //
-//   - noalloc: functions annotated //fdlint:noalloc avoid allocating
-//     constructs.
+//   - noalloc: functions annotated //fdlint:noalloc do not allocate.
+//     Heap escapes come from the compiler (`go build -gcflags=-m`, run
+//     once per annotated package; an inlined callee's escape is
+//     reported at its call line); AST rules cover what -m does not
+//     report: go, defer and append past reused capacity.
 //   - orderedrange: map iteration order never reaches an output sink
 //     unsorted.
 //   - shardwrite: //fdlint:parallel shard bodies draw only their own

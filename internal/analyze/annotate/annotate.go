@@ -156,15 +156,16 @@ func startsLine(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 	return !found
 }
 
-// ForNode returns the directives governing the line node starts on.
-func (af *File) ForNode(n ast.Node) []Directive {
-	return af.byLine[af.fset.Position(n.Pos()).Line]
+// Has reports whether a directive with the verb governs the line node
+// starts on, returning it.
+func (af *File) Has(n ast.Node, verb string) (Directive, bool) {
+	return af.At(n.Pos(), verb)
 }
 
-// Has reports whether a directive with the verb governs node's line,
+// At reports whether a directive with the verb governs pos's line,
 // returning it.
-func (af *File) Has(n ast.Node, verb string) (Directive, bool) {
-	for _, d := range af.ForNode(n) {
+func (af *File) At(pos token.Pos, verb string) (Directive, bool) {
+	for _, d := range af.byLine[af.fset.Position(pos).Line] {
 		if d.Verb == verb {
 			return d, true
 		}

@@ -7,13 +7,16 @@
 // The approach is the classic pre-go/packages driver recipe:
 // `go list -deps -json` enumerates every package the patterns need —
 // already in dependency order, standard library included, with the
-// build-context-filtered file lists — and each package is then parsed
-// and type-checked in that order, with imports resolved from the
-// packages checked before it. Dependencies are checked with
-// IgnoreFuncBodies (their exported API is all importers need), so the
-// expensive body-level work happens only for the packages under
-// analysis. cgo is disabled for the enumeration, which keeps every
-// listed file pure Go; FakeImportC covers any stray `import "C"`.
+// build-context-filtered file lists — and each package is then
+// type-checked in that order, with imports resolved from the packages
+// checked before it. Parsing runs ahead of the type-check on its own
+// goroutine, and Walk hands each root package to its caller as soon as
+// it is checked.
+// Dependencies are checked with IgnoreFuncBodies (their exported API is
+// all importers need), so the expensive body-level work happens only
+// for the packages under analysis. cgo is disabled for the enumeration,
+// which keeps every listed file pure Go; FakeImportC covers any stray
+// `import "C"`.
 package load
 
 import (
@@ -29,6 +32,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 )
 
 // Package is one parsed, type-checked package under analysis.
@@ -87,15 +91,21 @@ func New() *Loader {
 // Fset returns the loader's shared file set.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// Roots loads the packages matching the given go list patterns
-// (./... style) and returns the non-dependency ones — the packages the
-// patterns named — fully type-checked with bodies and TypesInfo.
-func (l *Loader) Roots(patterns ...string) ([]*Package, error) {
+// Walk loads the packages matching the given go list patterns (./...
+// style) and calls fn with each non-dependency one — the packages the
+// patterns named — fully type-checked with bodies and TypesInfo, in
+// dependency order. Parsing and type-checking run on their own
+// goroutines ahead of fn, so fn's work (an analyzer's compile, say)
+// overlaps the loading of later packages; a package handed to fn is
+// complete and only read from then on, and fn must not call the Loader
+// other than Fset. Walk returns the first load or fn error, after
+// stopping and waiting for both goroutines.
+func (l *Loader) Walk(fn func(*Package) error, patterns ...string) error {
 	entries, err := l.goList(patterns)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var roots []*Package
+	var todo []listEntry
 	for _, e := range entries {
 		if _, done := l.pkgs[e.ImportPath]; done {
 			if e.DepOnly {
@@ -106,15 +116,78 @@ func (l *Loader) Roots(patterns ...string) ([]*Package, error) {
 			delete(l.pkgs, e.ImportPath)
 			delete(l.errs, e.ImportPath)
 		}
-		pkg, err := l.check(e, !e.DepOnly)
-		if err != nil {
-			return nil, err
+		todo = append(todo, e)
+	}
+	// Parsing needs no imports, so it runs ahead of the type-check,
+	// which must follow dependency order. Every channel has room for
+	// all its sends, so neither goroutine blocks once fn stops reading.
+	parsed := make([]chan parseResult, len(todo))
+	for i := range parsed {
+		parsed[i] = make(chan parseResult, 1)
+	}
+	roots := make(chan checkResult, len(todo))
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i, e := range todo {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			files, err := l.parseFiles(e.Dir, e.GoFiles, !e.DepOnly)
+			parsed[i] <- parseResult{files, err}
 		}
-		if !e.DepOnly {
-			roots = append(roots, pkg)
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(roots)
+		for i, e := range todo {
+			var p parseResult
+			select {
+			case <-stop:
+				return
+			case p = <-parsed[i]:
+			}
+			if p.err != nil {
+				roots <- checkResult{err: fmt.Errorf("%s: %v", e.ImportPath, p.err)}
+				return
+			}
+			pkg, err := l.checkFiles(e, p.files, !e.DepOnly)
+			if err != nil {
+				roots <- checkResult{err: err}
+				return
+			}
+			if !e.DepOnly {
+				roots <- checkResult{pkg: pkg}
+			}
+		}
+	}()
+	for r := range roots {
+		if r.err != nil {
+			return r.err
+		}
+		if err := fn(r.pkg); err != nil {
+			return err
 		}
 	}
-	return roots, nil
+	return nil
+}
+
+// parseResult is one package's parsed files, or its parse error.
+type parseResult struct {
+	files []*ast.File
+	err   error
+}
+
+// checkResult is one type-checked root package, or the load error that
+// ends a Walk.
+type checkResult struct {
+	pkg *Package
+	err error
 }
 
 // goList runs `go list -deps -json` for the patterns and decodes the
@@ -147,17 +220,18 @@ func (l *Loader) goList(patterns []string) ([]listEntry, error) {
 // check parses and type-checks one listed package. Bodies are checked
 // (and TypesInfo recorded) only when full is true.
 func (l *Loader) check(e listEntry, full bool) (*Package, error) {
+	files, err := l.parseFiles(e.Dir, e.GoFiles, full)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %v", e.ImportPath, err)
+	}
+	return l.checkFiles(e, files, full)
+}
+
+// checkFiles type-checks one listed package's parsed files.
+func (l *Loader) checkFiles(e listEntry, files []*ast.File, full bool) (*Package, error) {
 	if e.ImportPath == "unsafe" {
 		l.pkgs["unsafe"] = types.Unsafe
 		return &Package{ImportPath: "unsafe", Types: types.Unsafe}, nil
-	}
-	files := make([]*ast.File, 0, len(e.GoFiles))
-	for _, name := range e.GoFiles {
-		f, err := parser.ParseFile(l.fset, filepath.Join(e.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %v", e.ImportPath, err)
-		}
-		files = append(files, f)
 	}
 	var info *types.Info
 	if full {
@@ -171,6 +245,26 @@ func (l *Loader) check(e listEntry, full bool) (*Package, error) {
 		ImportPath: e.ImportPath, Dir: e.Dir,
 		Files: files, Types: tpkg, TypesInfo: info,
 	}, nil
+}
+
+// parseFiles parses the named files of dir. Dependencies (full false)
+// need neither comments, since directives live in the packages under
+// analysis, nor the parser's object resolution, which go/types never
+// reads. parseFiles only touches the concurrency-safe file set.
+func (l *Loader) parseFiles(dir string, names []string, full bool) ([]*ast.File, error) {
+	mode := parser.SkipObjectResolution
+	if full {
+		mode |= parser.ParseComments
+	}
+	files := make([]*ast.File, 0, len(names))
+	for _, name := range names {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, mode)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	return files, nil
 }
 
 // typeCheck runs go/types over parsed files, resolving imports from
@@ -251,13 +345,9 @@ func (l *Loader) loadOverlayDir(path, dir string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := l.parseFiles(dir, names, true)
+	if err != nil {
+		return nil, err
 	}
 	return l.typeCheck(path, files, nil, true)
 }
@@ -269,13 +359,9 @@ func (l *Loader) LoadDir(path, dir string) (*Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
+	files, err := l.parseFiles(dir, names, true)
+	if err != nil {
+		return nil, err
 	}
 	info := newInfo()
 	tpkg, err := l.typeCheck(path, files, info, true)

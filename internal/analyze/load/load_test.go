@@ -14,7 +14,11 @@ func TestRootsTypeCheckRepo(t *testing.T) {
 	}
 	start := time.Now()
 	l := New()
-	roots, err := l.Roots("repro/...")
+	var roots []*Package
+	err := l.Walk(func(p *Package) error {
+		roots = append(roots, p)
+		return nil
+	}, "repro/...")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,46 +1,41 @@
 // Package noalloc statically enforces the zero-alloc contract on
-// functions annotated `//fdlint:noalloc` in their doc comment — the
-// hot paths guarded at runtime by testing.AllocsPerRun tests
+// functions annotated `//fdlint:noalloc` in their doc comment — the hot
+// paths the testing.AllocsPerRun budgets guard at runtime
 // (core.TransferFrameInto, the netsim round loop, the streaming
-// snapshot path). The runtime tests catch regressions after the fact;
-// this analyzer names the offending construct at the line that
-// introduced it.
+// snapshot path) — naming the offending construct at its line.
 //
-// Inside a noalloc function the analyzer flags constructs that
-// allocate or are overwhelmingly likely to:
+// Heap allocations come from the compiler: each package holding an
+// annotated function is built once with `go build -gcflags=-m` in its
+// directory, and every "escapes to heap", "... argument escapes to
+// heap" or "moved to heap" line inside an annotated body is a finding.
+// make/new, &T{...}, slice and map literals, closures, interface
+// boxing, fmt arguments and string building are reported when, and
+// only when, they escape. The compiler prints an escape inside an
+// inlined callee at the call's position, so it is reported at the call
+// line; a callee that is not inlined is not looked into (the runtime
+// budgets cover it). A failed compile is an error, never zero findings.
 //
-//   - go and defer statements, and function literals (closure headers)
-//   - &T{...} composite literals, and slice/map composite literals
-//     (struct VALUE literals are allowed: `*res = Result{...}` writes
-//     in place)
-//   - append whose destination is not cap-managed — the destination
-//     must be re-sliced (x = x[:0], or initialized from a slice
-//     expression) somewhere in the function, the idiom the engine uses
-//     to reuse scratch capacity
-//   - interface conversions of non-pointer-shaped values (pointers,
-//     channels, maps, funcs and unsafe.Pointer box for free; structs,
-//     strings and numbers allocate)
-//   - any call into package fmt
-//   - string concatenation (+ / +=) and string<->[]byte/[]rune
-//     conversions
-//   - make and new
+// AST rules cover the allocations -m does not report: go statements,
+// every defer (one inside a loop heap-allocates its record; hot paths
+// need none), and append to a destination that is not cap-managed —
+// re-sliced somewhere in the function (x = x[:0], or initialized from
+// a slice expression), the engine's idiom for growing into reused
+// scratch capacity.
 //
 // A finding is suppressed by `//fdlint:alloc-ok <reason>` on its line;
-// a bare alloc-ok with no reason is itself a diagnostic (noalloc owns
-// that hygiene rule).
-//
-// The check is necessarily a lint, not a proof: escape analysis can
-// rescue some flagged forms and pathological code can allocate in ways
-// this list misses. The contract is that hot-path code sticks to the
-// subset the analyzer can vouch for, and anything cleverer carries an
-// alloc-ok justification.
+// a bare alloc-ok with no reason is itself a diagnostic.
 package noalloc
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
 
 	"repro/internal/analyze/analysis"
 	"repro/internal/analyze/annotate"
@@ -49,14 +44,15 @@ import (
 // Analyzer is the noalloc analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "noalloc",
-	Doc: "functions annotated //fdlint:noalloc must avoid allocating " +
-		"constructs: closures, escaping composite literals, " +
-		"uncapped appends, interface boxing, fmt, string building, " +
-		"make/new",
+	Doc: "functions annotated //fdlint:noalloc must not allocate: every " +
+		"heap escape go build -gcflags=-m reports in the body (an inlined " +
+		"callee's at its call line), plus go, defer and uncapped append, " +
+		"which -m does not report",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
+	var checkers []*checker
 	for _, f := range pass.Files {
 		af := annotate.NewFile(pass.Fset, f)
 		for _, d := range af.All() {
@@ -70,13 +66,56 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				continue
 			}
 			if _, ok := annotate.FuncHas(pass.Fset, fd, "noalloc"); ok {
-				c := &checker{pass: pass, af: af, fd: fd}
-				c.capManaged = capManagedPaths(fd.Body)
+				c := &checker{pass: pass, af: af, fd: fd, capManaged: capManagedPaths(fd.Body)}
 				ast.Inspect(fd.Body, c.visit)
+				checkers = append(checkers, c)
 			}
 		}
 	}
-	return nil, nil
+	if len(checkers) == 0 {
+		return nil, nil
+	}
+	return nil, reportEscapes(pass, checkers)
+}
+
+// escapeLine matches the -m lines that report a heap allocation:
+// "x escapes to heap", "... argument escapes to heap", "moved to heap: x".
+var escapeLine = regexp.MustCompile(`(?m)^(.+):(\d+):(\d+): (.*escapes to heap|moved to heap: .*)$`)
+
+// reportEscapes compiles the pass's package with -gcflags=-m in its
+// directory and reports each distinct heap-allocation line that falls
+// inside an annotated body.
+func reportEscapes(pass *analysis.Pass, checkers []*checker) error {
+	files := map[string]*token.File{}
+	for _, f := range pass.Files {
+		tf := pass.Fset.File(f.Pos())
+		files[filepath.Base(tf.Name())] = tf
+	}
+	dir := filepath.Dir(pass.Fset.File(pass.Files[0].Pos()).Name())
+	cmd := exec.Command("go", "build", "-o", os.DevNull, "-gcflags=-m", ".")
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0") // compile the files load listed
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("go build -gcflags=-m in %s: %v\n%s", dir, err, out)
+	}
+	seen := map[string]bool{}
+	for _, m := range escapeLine.FindAllStringSubmatch(string(out), -1) {
+		tf := files[filepath.Base(m[1])]
+		ln, _ := strconv.Atoi(m[2])
+		col, _ := strconv.Atoi(m[3])
+		if tf == nil || ln < 1 || ln > tf.LineCount() || seen[m[0]] {
+			continue
+		}
+		seen[m[0]] = true
+		pos := tf.LineStart(ln) + token.Pos(col-1)
+		for _, c := range checkers {
+			if c.fd.Body.Pos() <= pos && pos < c.fd.Body.End() {
+				c.report(pos, "%s", m[4])
+			}
+		}
+	}
+	return nil
 }
 
 type checker struct {
@@ -88,124 +127,34 @@ type checker struct {
 	capManaged map[string]bool
 }
 
-// report emits a finding unless the line carries a justified alloc-ok.
-func (c *checker) report(n ast.Node, format string, args ...interface{}) {
-	if d, ok := c.af.Has(n, "alloc-ok"); ok {
-		_ = d // bare alloc-ok is reported once per directive in run
+// report emits a finding unless the line carries an alloc-ok (a bare
+// one is reported once per directive in run).
+func (c *checker) report(pos token.Pos, format string, args ...interface{}) {
+	if _, ok := c.af.At(pos, "alloc-ok"); ok {
 		return
 	}
-	c.pass.Reportf(n.Pos(), "//fdlint:noalloc function %s: "+format,
+	c.pass.Reportf(pos, "//fdlint:noalloc function %s: "+format,
 		append([]interface{}{c.fd.Name.Name}, args...)...)
 }
 
 func (c *checker) visit(n ast.Node) bool {
 	switch v := n.(type) {
 	case *ast.GoStmt:
-		c.report(v, "spawns a goroutine")
-		return false
+		c.report(v.Pos(), "spawns a goroutine")
 	case *ast.DeferStmt:
-		c.report(v, "defers (defer records allocate)")
-		return false
-	case *ast.FuncLit:
-		c.report(v, "declares a closure")
-		return false // the literal's body is the closure's problem
-	case *ast.UnaryExpr:
-		if v.Op == token.AND {
-			if _, ok := v.X.(*ast.CompositeLit); ok {
-				c.report(v, "takes the address of a composite literal")
-			}
-		}
-	case *ast.CompositeLit:
-		c.checkCompositeLit(v)
+		c.report(v.Pos(), "defers (defer records allocate)")
 	case *ast.CallExpr:
-		return c.checkCall(v)
-	case *ast.BinaryExpr:
-		if v.Op == token.ADD && c.isString(v.X) {
-			c.report(v, "concatenates strings")
-		}
-	case *ast.AssignStmt:
-		if v.Tok == token.ADD_ASSIGN && len(v.Lhs) == 1 && c.isString(v.Lhs[0]) {
-			c.report(v, "concatenates strings")
-		}
-		c.checkAssignBoxing(v)
-	case *ast.ValueSpec:
-		c.checkSpecBoxing(v)
-	case *ast.ReturnStmt:
-		c.checkReturnBoxing(v)
-	}
-	return true
-}
-
-// checkCompositeLit flags slice and map literals; struct value
-// literals write in place when assigned through a pointer.
-func (c *checker) checkCompositeLit(lit *ast.CompositeLit) {
-	tv, ok := c.pass.TypesInfo.Types[lit]
-	if !ok || tv.Type == nil {
-		return
-	}
-	switch tv.Type.Underlying().(type) {
-	case *types.Slice:
-		c.report(lit, "constructs a slice literal")
-	case *types.Map:
-		c.report(lit, "constructs a map literal")
-	}
-}
-
-func (c *checker) checkCall(call *ast.CallExpr) bool {
-	// Type conversions: string<->[]byte/[]rune copy their contents.
-	if tv, ok := c.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if len(call.Args) == 1 {
-			c.checkConversion(call, tv.Type, call.Args[0])
-		}
-		return true
-	}
-
-	// Builtins.
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "make":
-				c.report(call, "calls make")
-			case "new":
-				c.report(call, "calls new")
-			case "append":
-				c.checkAppend(call)
+		if id, ok := ast.Unparen(v.Fun).(*ast.Ident); ok && len(v.Args) > 0 {
+			if b, ok := c.pass.TypesInfo.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+				c.checkAppend(v)
 			}
-			return true
 		}
 	}
-
-	// fmt calls.
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if obj := c.pass.TypesInfo.Uses[sel.Sel]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "fmt" {
-			c.report(call, "calls fmt.%s (interface boxing and formatting buffers)", obj.Name())
-			return true
-		}
-	}
-
-	// Interface-typed parameters box concrete arguments.
-	c.checkCallBoxing(call)
 	return true
-}
-
-func (c *checker) checkConversion(call *ast.CallExpr, to types.Type, arg ast.Expr) {
-	from := c.pass.TypesInfo.Types[arg].Type
-	if from == nil {
-		return
-	}
-	if (isStringType(to) && isByteOrRuneSlice(from)) || (isByteOrRuneSlice(to) && isStringType(from)) {
-		c.report(call, "converts between string and byte/rune slice (copies)")
-		return
-	}
-	// Explicit conversion to an interface type boxes like assignment.
-	c.checkBoxing(arg, to)
 }
 
 // checkAppend enforces the cap-managed destination rule.
 func (c *checker) checkAppend(call *ast.CallExpr) {
-	if len(call.Args) == 0 {
-		return
-	}
 	dst := ast.Unparen(call.Args[0])
 	// Appending to a fresh re-slice (append(x[:0], ...)) reuses x's
 	// capacity directly.
@@ -215,132 +164,7 @@ func (c *checker) checkAppend(call *ast.CallExpr) {
 	if path := exprPath(dst); path != "" && c.capManaged[path] {
 		return
 	}
-	c.report(call, "appends to %q, which is never re-sliced in this function; grow into reused capacity (x = x[:0]) or justify with //fdlint:alloc-ok", exprString(dst))
-}
-
-// --- interface boxing ---
-
-func (c *checker) checkAssignBoxing(as *ast.AssignStmt) {
-	if len(as.Lhs) != len(as.Rhs) {
-		return
-	}
-	for i, lhs := range as.Lhs {
-		var lt types.Type
-		if as.Tok == token.DEFINE {
-			if id, ok := lhs.(*ast.Ident); ok {
-				if obj := c.pass.TypesInfo.Defs[id]; obj != nil {
-					lt = obj.Type()
-				}
-			}
-		} else if tv, ok := c.pass.TypesInfo.Types[lhs]; ok {
-			lt = tv.Type
-		}
-		c.checkBoxing(as.Rhs[i], lt)
-	}
-}
-
-func (c *checker) checkSpecBoxing(vs *ast.ValueSpec) {
-	if vs.Type == nil || len(vs.Values) == 0 {
-		return
-	}
-	lt := c.pass.TypesInfo.Types[vs.Type].Type
-	for _, v := range vs.Values {
-		c.checkBoxing(v, lt)
-	}
-}
-
-func (c *checker) checkReturnBoxing(ret *ast.ReturnStmt) {
-	obj := c.pass.TypesInfo.Defs[c.fd.Name]
-	if obj == nil {
-		return
-	}
-	sig, ok := obj.Type().(*types.Signature)
-	if !ok || sig.Results().Len() != len(ret.Results) {
-		return
-	}
-	for i, r := range ret.Results {
-		c.checkBoxing(r, sig.Results().At(i).Type())
-	}
-}
-
-func (c *checker) checkCallBoxing(call *ast.CallExpr) {
-	tv, ok := c.pass.TypesInfo.Types[call.Fun]
-	if !ok || tv.Type == nil {
-		return
-	}
-	sig, ok := tv.Type.Underlying().(*types.Signature)
-	if !ok {
-		return
-	}
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case call.Ellipsis.IsValid():
-			if i < params.Len() {
-				pt = params.At(i).Type()
-			}
-			if sig.Variadic() && i == params.Len()-1 {
-				pt = nil // slice passed through verbatim, no boxing
-			}
-		case sig.Variadic() && i >= params.Len()-1:
-			if sl, ok := params.At(params.Len() - 1).Type().(*types.Slice); ok {
-				pt = sl.Elem()
-			}
-		case i < params.Len():
-			pt = params.At(i).Type()
-		}
-		c.checkBoxing(arg, pt)
-	}
-}
-
-// checkBoxing reports expr if storing it into target type boxes a
-// non-pointer-shaped value into an interface.
-func (c *checker) checkBoxing(expr ast.Expr, target types.Type) {
-	if target == nil || !types.IsInterface(target) {
-		return
-	}
-	at := c.pass.TypesInfo.Types[expr].Type
-	if at == nil || types.IsInterface(at) || isPointerShaped(at) {
-		return
-	}
-	if c.pass.TypesInfo.Types[expr].IsNil() {
-		return
-	}
-	c.report(expr, "boxes a %s into interface %s (non-pointer values escape)", at, target)
-}
-
-// --- helpers ---
-
-func (c *checker) isString(e ast.Expr) bool {
-	t := c.pass.TypesInfo.Types[e].Type
-	return t != nil && isStringType(t)
-}
-
-func isStringType(t types.Type) bool {
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsString != 0
-}
-
-func isByteOrRuneSlice(t types.Type) bool {
-	sl, ok := t.Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := sl.Elem().Underlying().(*types.Basic)
-	return ok && (b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// isPointerShaped reports whether values of t fit an interface word
-// without boxing.
-func isPointerShaped(t types.Type) bool {
-	switch u := t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return u.Kind() == types.UnsafePointer
-	}
-	return false
+	c.report(call.Pos(), "appends to %q, which is never re-sliced in this function; grow into reused capacity (x = x[:0]) or justify with //fdlint:alloc-ok", types.ExprString(dst))
 }
 
 // capManagedPaths collects every expression path the function
@@ -394,14 +218,4 @@ func exprPath(e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// exprString is a compact printable form for diagnostics.
-func exprString(e ast.Expr) string {
-	if p := exprPath(e); p != "" {
-		return p
-	}
-	var b strings.Builder
-	b.WriteString("<expr>")
-	return b.String()
 }

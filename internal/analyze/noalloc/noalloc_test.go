@@ -7,10 +7,11 @@ import (
 	"repro/internal/analyze/noalloc"
 )
 
-// The corpus proves the analyzer flags each allocating construct in
-// //fdlint:noalloc functions, accepts the in-place/cap-reuse idioms
-// the engine hot paths use, honors justified alloc-ok suppressions,
-// and reports bare ones.
+// The corpus proves the analyzer reports each heap escape the
+// compiler finds in //fdlint:noalloc functions plus the go, defer and
+// uncapped-append rules, leaves non-escaping forms and the cap-reuse
+// idioms the engine hot paths use alone, honors justified alloc-ok
+// suppressions, and reports bare ones.
 func TestNoalloc(t *testing.T) {
 	analysistest.Run(t, "testdata", noalloc.Analyzer, "alloctest")
 }

@@ -56,12 +56,8 @@ func NewSuite(dir string, analyzers []*analysis.Analyzer) *Suite {
 // Run loads the packages matching patterns and applies the suite's
 // analyzers, returning every diagnostic sorted by position.
 func (s *Suite) Run(patterns ...string) ([]Finding, error) {
-	pkgs, err := s.loader.Roots(patterns...)
-	if err != nil {
-		return nil, err
-	}
 	var findings []Finding
-	for _, pkg := range pkgs {
+	err := s.loader.Walk(func(pkg *load.Package) error {
 		for _, a := range s.analyzers {
 			a := a
 			pass := &analysis.Pass{
@@ -77,9 +73,13 @@ func (s *Suite) Run(patterns ...string) ([]Finding, error) {
 			}
 			s.facts[a].Bind(pass)
 			if _, err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
+				return fmt.Errorf("%s: %s: %w", pkg.ImportPath, a.Name, err)
 			}
 		}
+		return nil
+	}, patterns...)
+	if err != nil {
+		return nil, err
 	}
 	sortFindings(findings)
 	return findings, nil

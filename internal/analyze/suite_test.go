@@ -27,7 +27,7 @@ func TestSuiteCleanOnRepo(t *testing.T) {
 		t.Fatalf("fdlint: %d finding(s); the contracts above are documented in README.md \"Static analysis\"", len(findings))
 	}
 	// The perf contract behind the shared loader: the module is listed
-	// and type-checked once, shared by all five analyzers, so a cold
+	// and type-checked once, shared by all four analyzers, so a cold
 	// full-module suite run stays interactive. 3s is ~2x the observed
 	// cold time; a regression past it means per-analyzer reloading (or
 	// an analyzer doing quadratic work) crept back in. The race
