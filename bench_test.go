@@ -91,19 +91,6 @@ func BenchmarkMACFullDuplex(b *testing.B) {
 	}
 }
 
-func BenchmarkFFT1024(b *testing.B) {
-	x := make(sigproc.IQ, 1024)
-	src := simrand.New(1)
-	for i := range x {
-		x[i] = src.ComplexNormal(1)
-	}
-	b.ReportAllocs()
-	b.SetBytes(1024 * 16)
-	for i := 0; i < b.N; i++ {
-		sigproc.FFT(x)
-	}
-}
-
 func BenchmarkEnvelopeNormalizeDecode(b *testing.B) {
 	// The reader's per-chunk feedback decode path.
 	rd := mustReaderBench(b)

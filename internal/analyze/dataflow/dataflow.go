@@ -19,7 +19,6 @@ package dataflow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -321,41 +320,6 @@ func (ev *Evaluator) Eval(e ast.Expr) Value {
 	}
 	ev.low = min(outer, ev.low)
 	return v
-}
-
-// RootIdent walks selector/index/star/paren/call chains to the base
-// identifier of an lvalue-ish expression: t.stats[i].ID -> t,
-// (&e.tags).alive -> e, w.src.Split() -> w. Returns nil when the chain
-// bottoms out in anything but an identifier (a literal, a call on a
-// non-selector function, ...).
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			e = v.X
-		case *ast.SliceExpr:
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		case *ast.UnaryExpr:
-			if v.Op != token.AND {
-				return nil
-			}
-			e = v.X
-		case *ast.CallExpr:
-			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return nil
-			}
-			e = sel.X
-		default:
-			return nil
-		}
-	}
 }
 
 // Callee resolves the function or method object a call invokes (nil

@@ -172,13 +172,6 @@ func BenchmarkGains(b *testing.B) {
 	})
 }
 
-func TestFixedGain(t *testing.T) {
-	g := FixedGain(0.5)
-	if g.Gain(1) != 0.5 || g.Gain(100) != 0.5 {
-		t.Fatal("FixedGain must ignore distance")
-	}
-}
-
 func TestPathLossMonotoneProperty(t *testing.T) {
 	models := []PathLoss{
 		FreeSpace{FreqHz: 915e6},
@@ -199,14 +192,6 @@ func TestPathLossMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPropagationDelay(t *testing.T) {
-	// 300 m at 1 MHz is about one sample.
-	d := PropagationDelaySamples(299.792458, 1e6)
-	if math.Abs(d-1) > 1e-9 {
-		t.Fatalf("delay = %g samples, want 1", d)
 	}
 }
 
@@ -273,19 +258,6 @@ func TestGaussMarkovPanics(t *testing.T) {
 		}
 	}()
 	NewGaussMarkovFader(simrand.New(1), 1.0)
-}
-
-func TestCoherenceRho(t *testing.T) {
-	if CoherenceRho(1, 0) != 0 {
-		t.Fatal("zero coherence time should give rho 0")
-	}
-	r := CoherenceRho(0.001, 0.1)
-	if r < 0.98 || r >= 1 {
-		t.Fatalf("slow channel rho = %g", r)
-	}
-	if CoherenceRho(10, 0.001) > 0.01 {
-		t.Fatal("fast channel should have near-zero rho")
-	}
 }
 
 func TestPathGainApplied(t *testing.T) {
@@ -376,145 +348,8 @@ func TestPathFaderScales(t *testing.T) {
 	}
 }
 
-func TestMultipathTwoRay(t *testing.T) {
-	mp := NewTwoRay(1, 3, 0.25)
-	tx := sigproc.IQ{1, 0, 0, 0, 0}
-	rx := mp.Apply(tx, nil)
-	if cmplx.Abs(rx[0]-1) > 1e-12 {
-		t.Fatalf("direct tap wrong: %v", rx)
-	}
-	if cmplx.Abs(rx[3]-0.5) > 1e-12 { // amplitude sqrt(0.25)
-		t.Fatalf("echo tap wrong: %v", rx)
-	}
-}
-
-func TestMediumDistanceAndGain(t *testing.T) {
-	m := NewMedium(MediumConfig{PathLoss: FixedGain(0.5)})
-	m.AddNode("a", 0, 0)
-	m.AddNode("b", 3, 4)
-	if d := m.Distance("a", "b"); math.Abs(d-5) > 1e-12 {
-		t.Fatalf("distance = %g, want 5", d)
-	}
-	if g := m.Gain("a", "b"); g != 0.5 {
-		t.Fatalf("gain = %g", g)
-	}
-}
-
-func TestMediumUnknownNodePanics(t *testing.T) {
-	m := NewMedium(MediumConfig{})
-	m.AddNode("a", 0, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.Distance("a", "ghost")
-}
-
-func TestMediumPathCachedAndDirected(t *testing.T) {
-	m := NewMedium(MediumConfig{PathLoss: FixedGain(1)})
-	m.AddNode("a", 0, 0)
-	m.AddNode("b", 1, 0)
-	p1 := m.Path("a", "b")
-	p2 := m.Path("a", "b")
-	if p1 != p2 {
-		t.Fatal("path must be cached")
-	}
-	if m.Path("b", "a") == p1 {
-		t.Fatal("reverse path must be distinct")
-	}
-}
-
-func TestMediumMoveInvalidatesPaths(t *testing.T) {
-	m := NewMedium(MediumConfig{PathLoss: NewLogDistance(915e6, 2)})
-	m.AddNode("a", 0, 0)
-	m.AddNode("b", 1, 0)
-	g1 := m.Path("a", "b").Gain
-	m.AddNode("b", 10, 0) // move
-	g2 := m.Path("a", "b").Gain
-	if g2 >= g1 {
-		t.Fatalf("moving farther should reduce gain: %g -> %g", g1, g2)
-	}
-}
-
-func TestMediumDefaultPathLoss(t *testing.T) {
-	m := NewMedium(MediumConfig{})
-	m.AddNode("a", 0, 0)
-	m.AddNode("b", 2, 0)
-	if g := m.Gain("a", "b"); g <= 0 || g >= 1 {
-		t.Fatalf("default path loss gain out of range: %g", g)
-	}
-}
-
-func TestMediumNodesSorted(t *testing.T) {
-	m := NewMedium(MediumConfig{})
-	m.AddNode("zeta", 0, 0)
-	m.AddNode("alpha", 1, 1)
-	names := m.Nodes()
-	if len(names) != 2 || names[0] != "alpha" || names[1] != "zeta" {
-		t.Fatalf("Nodes() = %v", names)
-	}
-}
-
-func TestMediumNoise(t *testing.T) {
-	m := NewMedium(MediumConfig{NoisePower: 0.1, Seed: 5})
-	x := make([]complex128, 50000)
-	m.AddNoise(x)
-	var p float64
-	for _, v := range x {
-		p += real(v)*real(v) + imag(v)*imag(v)
-	}
-	p /= float64(len(x))
-	if math.Abs(p-0.1) > 0.01 {
-		t.Fatalf("noise power = %g, want 0.1", p)
-	}
-	if m.NoisePower() != 0.1 {
-		t.Fatal("NoisePower accessor mismatch")
-	}
-}
-
-func TestMediumFadingKinds(t *testing.T) {
-	for _, k := range []FadingKind{FadingRayleigh, FadingRician, FadingGaussMarkov} {
-		m := NewMedium(MediumConfig{
-			PathLoss: FixedGain(1), Fading: k, RicianK: 3,
-			GaussMarkovRho: 0.9, Seed: 7,
-		})
-		m.AddNode("a", 0, 0)
-		m.AddNode("b", 1, 0)
-		p := m.Path("a", "b")
-		m.BlockStart()
-		c1 := p.Coeff()
-		m.BlockStart()
-		c2 := p.Coeff()
-		if c1 == c2 {
-			t.Fatalf("%v fading should vary between blocks", k)
-		}
-	}
-}
-
-func TestMediumDeterministicAcrossRuns(t *testing.T) {
-	run := func() complex128 {
-		m := NewMedium(MediumConfig{PathLoss: FixedGain(1), Fading: FadingRayleigh, Seed: 99})
-		m.AddNode("a", 0, 0)
-		m.AddNode("b", 1, 0)
-		p := m.Path("a", "b")
-		m.BlockStart()
-		return p.Coeff()
-	}
-	if run() != run() {
-		t.Fatal("same seed must reproduce the same fading")
-	}
-}
-
 func TestFadingKindString(t *testing.T) {
 	if FadingRayleigh.String() != "rayleigh" || FadingKind(99).String() == "" {
 		t.Fatal("FadingKind.String broken")
-	}
-}
-
-func TestPhaseRotate(t *testing.T) {
-	h := PhaseRotate(1, math.Pi)
-	if cmplx.Abs(h+1) > 1e-12 {
-		t.Fatalf("rotated = %v, want -1", h)
 	}
 }

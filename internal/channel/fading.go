@@ -1,8 +1,7 @@
 package channel
 
 import (
-	"math"
-	"math/cmplx"
+	"fmt"
 
 	"repro/internal/simrand"
 )
@@ -86,24 +85,30 @@ func (g *GaussMarkovFader) NextCoeff() complex128 {
 	return out
 }
 
-// CoherenceRho converts a channel coherence time and a block duration
-// into the AR(1) correlation coefficient via Clarke's model
-// rho = J0(2*pi*fd*T) approximated by exp(-(T/Tc)^2 * ln2) shape; we use
-// the simpler exponential mapping rho = exp(-blockT/coherenceT), clamped
-// to [0, 1).
-func CoherenceRho(blockT, coherenceT float64) float64 {
-	if coherenceT <= 0 {
-		return 0
-	}
-	rho := math.Exp(-blockT / coherenceT)
-	if rho >= 1 {
-		rho = math.Nextafter(1, 0)
-	}
-	return rho
-}
+// FadingKind selects the small-scale model a link attaches to each of its
+// paths (core.LinkConfig.Fading).
+type FadingKind int
 
-// PhaseRotate applies a constant phase rotation in radians to a
-// coefficient; useful to decorrelate I/Q in tests.
-func PhaseRotate(h complex128, rad float64) complex128 {
-	return h * cmplx.Exp(complex(0, rad))
+// Fading models a link can select.
+const (
+	FadingNone FadingKind = iota // static, coefficient 1
+	FadingRayleigh
+	FadingRician
+	FadingGaussMarkov
+)
+
+// String returns the model name.
+func (k FadingKind) String() string {
+	switch k {
+	case FadingNone:
+		return "none"
+	case FadingRayleigh:
+		return "rayleigh"
+	case FadingRician:
+		return "rician"
+	case FadingGaussMarkov:
+		return "gaussmarkov"
+	default:
+		return fmt.Sprintf("FadingKind(%d)", int(k))
+	}
 }

@@ -10,8 +10,8 @@ import (
 // Path applies one directed propagation path to a block of transmit
 // samples: amplitude gain from path loss, a per-block fading coefficient,
 // fractional-sample propagation delay, and carrier frequency offset.
-// A Path is the unit the Medium hands out; it can also be built directly
-// for calibrated point-to-point experiments.
+// The waveform link (internal/core) builds one Path per propagation leg:
+// forward, backscatter, self-leak and interferer paths.
 type Path struct {
 	// Gain is the linear POWER gain of the path (path loss); the applied
 	// amplitude gain is sqrt(Gain).
@@ -98,45 +98,4 @@ func (p *Path) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
 	}
 	// Keep phase continuous across blocks, wrapped to avoid precision loss.
 	p.phase = math.Mod(ph, 2*math.Pi)
-}
-
-// Multipath is a tapped-delay-line channel: a sum of Paths with
-// different delays and gains sharing one fading draw pattern.
-type Multipath struct {
-	Taps []Path
-}
-
-// NewTwoRay returns a classic two-ray multipath with a direct tap and one
-// echo delayed by delaySamples carrying echoPower of the direct power.
-func NewTwoRay(gain float64, delaySamples, echoPower float64) *Multipath {
-	return &Multipath{Taps: []Path{
-		{Gain: gain},
-		{Gain: gain * echoPower, DelaySamples: delaySamples},
-	}}
-}
-
-// BlockStart starts a new coherence block on every tap.
-func (m *Multipath) BlockStart() {
-	for i := range m.Taps {
-		m.Taps[i].BlockStart()
-	}
-}
-
-// AddTo accumulates the multipath output into dst.
-func (m *Multipath) AddTo(tx sigproc.IQ, dst sigproc.IQ) {
-	for i := range m.Taps {
-		m.Taps[i].AddTo(tx, dst)
-	}
-}
-
-// Apply writes the multipath output for tx into dst (allocated if nil or
-// short) and returns dst.
-func (m *Multipath) Apply(tx sigproc.IQ, dst sigproc.IQ) sigproc.IQ {
-	if cap(dst) < len(tx) {
-		dst = make(sigproc.IQ, len(tx))
-	}
-	dst = dst[:len(tx)]
-	dst.Zero()
-	m.AddTo(tx, dst)
-	return dst
 }

@@ -1,9 +1,10 @@
 // Package channel models the over-the-air substrate the HotNets'13
-// testbed provided physically: distance-dependent path loss, block and
-// correlated fading, additive white Gaussian noise, propagation delay,
-// carrier frequency offset, multipath, and a multi-node Medium that ties
-// node geometry to pairwise propagation paths (including the
-// tag-reflection paths that make backscatter links monostatic).
+// testbed provided physically: distance-dependent path loss (free space
+// and log-distance, with a batch form for the scenario engine), block
+// and correlated fading (static, Rayleigh, Rician and Gauss-Markov
+// faders), and the directed propagation Path that applies gain, fading,
+// fractional-sample delay and carrier frequency offset to a block of
+// samples.
 //
 // Conventions: path gains are LINEAR POWER gains (always <= 1 for a
 // passive channel); complex channel coefficients are amplitude-domain, so
@@ -197,24 +198,7 @@ func mulPow(a, x float64, yi int64) float64 {
 	return a
 }
 
-// FixedGain is a PathLoss that ignores distance; useful in unit tests and
-// calibrated-link experiments.
-type FixedGain float64
-
-// Gain implements PathLoss.
-func (g FixedGain) Gain(float64) float64 { return float64(g) }
-
-// PropagationDelaySamples returns the propagation delay over d metres in
-// samples at the given sample rate.
-func PropagationDelaySamples(d, sampleRate float64) float64 {
-	return d / SpeedOfLight * sampleRate
-}
-
-// String implementations aid experiment logs.
-func (f FreeSpace) String() string {
-	return fmt.Sprintf("freespace(%.0f MHz)", f.FreqHz/1e6)
-}
-
+// String describes the model in experiment logs.
 func (l LogDistance) String() string {
 	return fmt.Sprintf("logdistance(n=%.1f)", l.Exponent)
 }

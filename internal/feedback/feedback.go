@@ -59,29 +59,6 @@ type Config struct {
 	Code Code
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.SamplesPerBit < 1 {
-		return fmt.Errorf("feedback: SamplesPerBit must be >= 1, got %d", c.SamplesPerBit)
-	}
-	if c.Code == CodeManchester && c.SamplesPerBit < 2 {
-		return fmt.Errorf("feedback: Manchester needs SamplesPerBit >= 2")
-	}
-	if c.Code != CodeManchester && c.Code != CodeNRZ {
-		return fmt.Errorf("feedback: unknown code %d", int(c.Code))
-	}
-	return nil
-}
-
-// BitsPerSecond returns the feedback data rate at the given forward
-// sample rate.
-func (c Config) BitsPerSecond(sampleRate float64) float64 {
-	if c.SamplesPerBit <= 0 {
-		return 0
-	}
-	return sampleRate / float64(c.SamplesPerBit)
-}
-
 // AppendStates appends the per-sample antenna states for the given
 // feedback bits to dst and returns it. Each bit occupies SamplesPerBit
 // samples.
@@ -248,72 +225,9 @@ func (c Config) EstimateThreshold(norm []float64) float64 {
 	return (lo + hi) / 2
 }
 
-// SNREstimate estimates the feedback-channel SNR from a normalised
-// stream and the bits that were decoded from it: it reconstructs the two
-// class means and returns separation^2 / (4 * within-class variance),
-// i.e. the per-sample detection SNR. Returns 0 when a class is missing.
-func (c Config) SNREstimate(norm []float64, bits []byte) float64 {
-	n := c.SamplesPerBit
-	var sum [2]float64
-	var sumSq [2]float64
-	var cnt [2]int
-	for i, b := range bits {
-		start := i * n
-		if start+n > len(norm) {
-			break
-		}
-		seg := norm[start : start+n]
-		for j, v := range seg {
-			cls := int(b & 1)
-			if c.Code == CodeManchester {
-				// First half carries the bit state, second the inverse.
-				if j < n/2 {
-					cls = int(b & 1)
-				} else {
-					cls = int(b&1) ^ 1
-				}
-			}
-			sum[cls] += v
-			sumSq[cls] += v * v
-			cnt[cls]++
-		}
-	}
-	if cnt[0] == 0 || cnt[1] == 0 {
-		return 0
-	}
-	m0 := sum[0] / float64(cnt[0])
-	m1 := sum[1] / float64(cnt[1])
-	v0 := sumSq[0]/float64(cnt[0]) - m0*m0
-	v1 := sumSq[1]/float64(cnt[1]) - m1*m1
-	v := (v0 + v1) / 2
-	if v <= 0 {
-		return math.Inf(1)
-	}
-	d := m1 - m0
-	return d * d / (4 * v)
-}
-
 // QFunc is the Gaussian tail probability Q(x) = P(N(0,1) > x).
 func QFunc(x float64) float64 {
 	return 0.5 * math.Erfc(x/math.Sqrt2)
-}
-
-// TheoreticalBER predicts the feedback bit error rate for a level
-// separation delta (normalised units), per-sample noise standard
-// deviation sigma, and an averaging window of nAvg samples per decision:
-// BER = Q(delta / (2*sigma/sqrt(nAvg))). For Manchester the effective
-// nAvg is half the bit period per level but the decision variable is the
-// difference of two averages, which lands at the same expression with
-// nAvg = SamplesPerBit/2 halves combined; pass the per-decision averaging
-// count you actually use.
-func TheoreticalBER(delta, sigma float64, nAvg int) float64 {
-	if delta <= 0 || nAvg < 1 {
-		return 0.5
-	}
-	if sigma <= 0 {
-		return 0
-	}
-	return QFunc(delta / 2 / (sigma / math.Sqrt(float64(nAvg))))
 }
 
 // ManchesterBER predicts the BER of the Manchester decoder, whose

@@ -9,31 +9,6 @@ import (
 	"repro/internal/simrand"
 )
 
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{SamplesPerBit: 8, Code: CodeManchester}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := (Config{SamplesPerBit: 0}).Validate(); err == nil {
-		t.Fatal("zero SamplesPerBit must fail")
-	}
-	if err := (Config{SamplesPerBit: 1, Code: CodeManchester}).Validate(); err == nil {
-		t.Fatal("Manchester with 1 sample/bit must fail")
-	}
-	if err := (Config{SamplesPerBit: 4, Code: Code(9)}).Validate(); err == nil {
-		t.Fatal("unknown code must fail")
-	}
-}
-
-func TestBitsPerSecond(t *testing.T) {
-	c := Config{SamplesPerBit: 1000}
-	if got := c.BitsPerSecond(1e6); got != 1000 {
-		t.Fatalf("rate = %g", got)
-	}
-	if (Config{}).BitsPerSecond(1e6) != 0 {
-		t.Fatal("invalid config should report 0 rate")
-	}
-}
-
 func TestAppendStatesNRZ(t *testing.T) {
 	c := Config{SamplesPerBit: 3, Code: CodeNRZ}
 	states := c.AppendStates(nil, []byte{1, 0})
@@ -227,45 +202,6 @@ func TestEstimateThreshold(t *testing.T) {
 	}
 }
 
-func TestSNREstimateTracksTruth(t *testing.T) {
-	c := Config{SamplesPerBit: 64, Code: CodeNRZ}
-	src := simrand.New(9)
-	bits := make([]byte, 400)
-	for i := range bits {
-		bits[i] = src.Bit()
-	}
-	delta, sigma := 0.1, 0.05
-	norm := synthNorm(c, bits, delta, sigma, 10)
-	got := c.SNREstimate(norm, bits)
-	want := delta * delta / (4 * sigma * sigma)
-	if got < want*0.8 || got > want*1.2 {
-		t.Fatalf("SNR estimate %g, want ~%g", got, want)
-	}
-}
-
-func TestSNREstimateManchester(t *testing.T) {
-	c := Config{SamplesPerBit: 64, Code: CodeManchester}
-	src := simrand.New(11)
-	bits := make([]byte, 400)
-	for i := range bits {
-		bits[i] = src.Bit()
-	}
-	norm := synthNorm(c, bits, 0.1, 0.05, 12)
-	got := c.SNREstimate(norm, bits)
-	want := 0.1 * 0.1 / (4 * 0.05 * 0.05)
-	if got < want*0.8 || got > want*1.2 {
-		t.Fatalf("SNR estimate %g, want ~%g", got, want)
-	}
-}
-
-func TestSNREstimateMissingClass(t *testing.T) {
-	c := Config{SamplesPerBit: 8, Code: CodeNRZ}
-	norm := synthNorm(c, []byte{1, 1, 1}, 0.1, 0.01, 13)
-	if c.SNREstimate(norm, []byte{1, 1, 1}) != 0 {
-		t.Fatal("single-class stream must return 0")
-	}
-}
-
 func TestQFunc(t *testing.T) {
 	if math.Abs(QFunc(0)-0.5) > 1e-12 {
 		t.Fatalf("Q(0) = %g", QFunc(0))
@@ -275,21 +211,6 @@ func TestQFunc(t *testing.T) {
 	}
 	if QFunc(10) > 1e-20 {
 		t.Fatal("Q(10) should be tiny")
-	}
-}
-
-func TestTheoreticalBERShape(t *testing.T) {
-	// More averaging -> lower BER.
-	b1 := TheoreticalBER(0.1, 0.5, 16)
-	b2 := TheoreticalBER(0.1, 0.5, 256)
-	if b2 >= b1 {
-		t.Fatalf("BER must fall with averaging: %g -> %g", b1, b2)
-	}
-	if TheoreticalBER(0, 1, 16) != 0.5 {
-		t.Fatal("zero separation must give 0.5")
-	}
-	if TheoreticalBER(1, 0, 16) != 0 {
-		t.Fatal("zero noise must give 0")
 	}
 }
 

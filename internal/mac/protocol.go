@@ -25,8 +25,10 @@ type Params struct {
 	// MaxAttempts bounds retransmission rounds per frame (default 32).
 	MaxAttempts int
 	// AbortThreshold is the number of consecutive NACKs that triggers
-	// early termination in the full-duplex protocol (default 2; 0
-	// disables early termination).
+	// early termination in the full-duplex protocol. It takes no
+	// default: the zero value disables early termination. (The 2 that
+	// netsim scenarios run with is the default of netsim's
+	// abort_threshold knob, not of this field.)
 	AbortThreshold int
 	// BackoffChunks is the idle defer after an early abort, in
 	// chunk-times (default 8).

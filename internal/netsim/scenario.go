@@ -131,7 +131,8 @@ type Scenario struct {
 	// ChunkBytes per chunk (default 32).
 	ChunkBytes int `json:"chunk_bytes"`
 	// AbortThreshold is the consecutive-NACK early-termination trigger
-	// (default 2).
+	// (default 2, which 0 also selects, so unlike mac.Params a scenario
+	// cannot switch early termination off).
 	AbortThreshold int `json:"abort_threshold"`
 	// BackoffChunks after an early abort (default 8).
 	BackoffChunks int `json:"backoff_chunks"`

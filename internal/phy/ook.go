@@ -137,44 +137,3 @@ func (o OOK) SliceThreshold(channelAmp float64) float64 {
 func (o OOK) String() string {
 	return fmt.Sprintf("ook(sps=%d depth=%.2f amp=%.2f)", o.sps(), o.depth(), o.amp())
 }
-
-// Rate describes one entry of the forward-link rate table: a line code
-// plus a chip oversampling factor. Lower SamplesPerChip means more chips
-// (hence bits) per second at the same sample rate, at the cost of less
-// energy per chip.
-type Rate struct {
-	ID             uint8
-	Name           string
-	SamplesPerChip int
-	Code           string // line code name, see CodeByName
-}
-
-// DefaultRates is the simulator's standard 4-entry rate table, ordered
-// slowest (most robust) to fastest.
-var DefaultRates = []Rate{
-	{ID: 0, Name: "0.25x", SamplesPerChip: 16, Code: "fm0"},
-	{ID: 1, Name: "0.5x", SamplesPerChip: 8, Code: "fm0"},
-	{ID: 2, Name: "1x", SamplesPerChip: 4, Code: "fm0"},
-	{ID: 3, Name: "2x", SamplesPerChip: 2, Code: "fm0"},
-}
-
-// RateByID looks up a rate in a table by ID.
-func RateByID(table []Rate, id uint8) (Rate, error) {
-	for _, r := range table {
-		if r.ID == id {
-			return r, nil
-		}
-	}
-	return Rate{}, fmt.Errorf("phy: unknown rate id %d", id)
-}
-
-// BitsPerSecond returns the data rate of r at the given sample rate,
-// accounting for the line code chip expansion.
-func (r Rate) BitsPerSecond(sampleRate float64) float64 {
-	code, err := CodeByName(r.Code)
-	if err != nil {
-		return 0
-	}
-	chipRate := sampleRate / float64(r.SamplesPerChip)
-	return chipRate / float64(code.ChipsPerBit())
-}

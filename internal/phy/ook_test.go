@@ -110,36 +110,3 @@ func TestOOKSliceThresholdScales(t *testing.T) {
 		t.Fatalf("threshold does not scale with channel amplitude")
 	}
 }
-
-func TestRateTable(t *testing.T) {
-	r, err := RateByID(DefaultRates, 2)
-	if err != nil || r.Name != "1x" {
-		t.Fatalf("RateByID: %v %v", r, err)
-	}
-	if _, err := RateByID(DefaultRates, 99); err == nil {
-		t.Fatal("unknown rate must error")
-	}
-}
-
-func TestRateBitsPerSecond(t *testing.T) {
-	r := Rate{SamplesPerChip: 4, Code: "fm0"}
-	// 1 MHz / 4 sps = 250 kchip/s; FM0 = 2 chips/bit -> 125 kbit/s.
-	if got := r.BitsPerSecond(1e6); math.Abs(got-125e3) > 1e-9 {
-		t.Fatalf("rate = %g, want 125e3", got)
-	}
-	bad := Rate{SamplesPerChip: 4, Code: "nope"}
-	if bad.BitsPerSecond(1e6) != 0 {
-		t.Fatal("unknown code should yield 0")
-	}
-}
-
-func TestDefaultRatesOrderedFastestLast(t *testing.T) {
-	prev := 0.0
-	for _, r := range DefaultRates {
-		bps := r.BitsPerSecond(1e6)
-		if bps <= prev {
-			t.Fatalf("rates must be strictly increasing: %s at %g", r.Name, bps)
-		}
-		prev = bps
-	}
-}

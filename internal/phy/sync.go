@@ -25,13 +25,6 @@ func DefaultPreambleChips(warmupChips int) []byte {
 	return append(out, barker13...)
 }
 
-// SyncWordChips returns a copy of the Barker-13 sync chips.
-func SyncWordChips() []byte {
-	out := make([]byte, len(barker13))
-	copy(out, barker13)
-	return out
-}
-
 // PreambleTemplate renders the expected envelope waveform of the given
 // preamble chips under the modem o, for correlation against a received
 // envelope.
@@ -100,13 +93,6 @@ func (d *PreambleDetector) Detect(env []float64, minCorr float64) (SyncResult, b
 		PeakIndex: peak,
 		Corr:      d.corr[peak],
 	}, true
-}
-
-// DetectPreamble is the one-shot form of PreambleDetector.Detect; it
-// re-derives the template state (and allocates) on every call, so
-// per-frame receivers should hold a detector instead.
-func DetectPreamble(env, template []float64, minCorr float64) (SyncResult, bool) {
-	return NewPreambleDetector(template).Detect(env, minCorr)
 }
 
 // EstimateChannelAmp estimates the channel amplitude gain from the

@@ -23,15 +23,6 @@ func TestDefaultPreambleChips(t *testing.T) {
 	}
 }
 
-func TestSyncWordChipsIsCopy(t *testing.T) {
-	a := SyncWordChips()
-	a[0] ^= 1
-	b := SyncWordChips()
-	if b[0] == a[0] {
-		t.Fatal("SyncWordChips must return a copy")
-	}
-}
-
 func TestPreambleTemplateLevels(t *testing.T) {
 	o := OOK{SamplesPerChip: 2, Depth: 0.5}
 	tpl := PreambleTemplate(o, []byte{1, 0})
@@ -68,7 +59,7 @@ func buildSyncScenario(o OOK, gain float64, offset int, noise float64, seed uint
 func TestDetectPreambleExactOffset(t *testing.T) {
 	o := OOK{SamplesPerChip: 4}
 	env, tpl, _ := buildSyncScenario(o, 1, 37, 0, 0)
-	res, ok := DetectPreamble(env, tpl, 0.7)
+	res, ok := NewPreambleDetector(tpl).Detect(env, 0.7)
 	if !ok {
 		t.Fatal("preamble not detected")
 	}
@@ -86,7 +77,7 @@ func TestDetectPreambleExactOffset(t *testing.T) {
 func TestDetectPreambleAmplitudeInvariant(t *testing.T) {
 	o := OOK{SamplesPerChip: 4}
 	env, tpl, _ := buildSyncScenario(o, 1e-4, 21, 0, 0)
-	res, ok := DetectPreamble(env, tpl, 0.7)
+	res, ok := NewPreambleDetector(tpl).Detect(env, 0.7)
 	if !ok || res.PeakIndex != 21 {
 		t.Fatalf("detection failed at low amplitude: %+v ok=%v", res, ok)
 	}
@@ -95,7 +86,7 @@ func TestDetectPreambleAmplitudeInvariant(t *testing.T) {
 func TestDetectPreambleNoisy(t *testing.T) {
 	o := OOK{SamplesPerChip: 4}
 	env, tpl, _ := buildSyncScenario(o, 1, 50, 0.1, 42)
-	res, ok := DetectPreamble(env, tpl, 0.6)
+	res, ok := NewPreambleDetector(tpl).Detect(env, 0.6)
 	if !ok {
 		t.Fatal("preamble not detected under noise")
 	}
@@ -112,17 +103,17 @@ func TestDetectPreambleAbsent(t *testing.T) {
 	for i := range env {
 		env[i] = math.Abs(src.Gaussian(0.5, 0.2))
 	}
-	if _, ok := DetectPreamble(env, tpl, 0.8); ok {
+	if _, ok := NewPreambleDetector(tpl).Detect(env, 0.8); ok {
 		t.Fatal("pure noise must not trigger detection at high threshold")
 	}
 }
 
 func TestDetectPreambleShortInput(t *testing.T) {
 	tpl := []float64{1, 0, 1}
-	if _, ok := DetectPreamble([]float64{1}, tpl, 0.5); ok {
+	if _, ok := NewPreambleDetector(tpl).Detect([]float64{1}, 0.5); ok {
 		t.Fatal("input shorter than template must not detect")
 	}
-	if _, ok := DetectPreamble([]float64{1, 2, 3}, nil, 0.5); ok {
+	if _, ok := NewPreambleDetector(nil).Detect([]float64{1, 2, 3}, 0.5); ok {
 		t.Fatal("empty template must not detect")
 	}
 }
@@ -131,7 +122,7 @@ func TestEstimateChannelAmp(t *testing.T) {
 	o := OOK{SamplesPerChip: 4}
 	const gain = 0.01
 	env, tpl, _ := buildSyncScenario(o, gain, 10, 0, 0)
-	res, ok := DetectPreamble(env, tpl, 0.7)
+	res, ok := NewPreambleDetector(tpl).Detect(env, 0.7)
 	if !ok {
 		t.Fatal("no sync")
 	}
@@ -159,7 +150,7 @@ func TestSyncEndToEndChipRecovery(t *testing.T) {
 	o := OOK{SamplesPerChip: 4, Depth: 0.75}
 	const gain = 0.02
 	env, tpl, payloadChips := buildSyncScenario(o, gain, 33, 0.001, 7)
-	res, ok := DetectPreamble(env, tpl, 0.7)
+	res, ok := NewPreambleDetector(tpl).Detect(env, 0.7)
 	if !ok {
 		t.Fatal("no sync")
 	}

@@ -58,66 +58,3 @@ func TestCountBitErrors(t *testing.T) {
 		t.Fatalf("length mismatch (other side): got %d, want 2", got)
 	}
 }
-
-func TestPRBS7Period(t *testing.T) {
-	p := NewPRBS7(1)
-	seen := make(map[uint32]bool)
-	// Collect the state cycle by stepping 127 times; all states distinct.
-	for i := 0; i < 127; i++ {
-		if seen[p.state] {
-			t.Fatalf("state repeated after %d steps", i)
-		}
-		seen[p.state] = true
-		p.NextBit()
-	}
-	if !seen[p.state] {
-		t.Fatal("PRBS7 did not return to a seen state after full period")
-	}
-}
-
-func TestPRBSZeroSeedAvoided(t *testing.T) {
-	p := NewPRBS15(0)
-	if p.state == 0 {
-		t.Fatal("zero seed must be remapped to a nonzero state")
-	}
-}
-
-func TestPRBSBalanced(t *testing.T) {
-	// A maximal-length LFSR emits (2^n-1+1)/2 ones per period; over many
-	// periods the ones density approaches 1/2.
-	p := NewPRBS15(42)
-	n := 32767
-	ones := 0
-	for i := 0; i < n; i++ {
-		ones += int(p.NextBit())
-	}
-	ratio := float64(ones) / float64(n)
-	if ratio < 0.49 || ratio > 0.51 {
-		t.Fatalf("ones density %g, want ~0.5", ratio)
-	}
-}
-
-func TestPRBSFillBits(t *testing.T) {
-	p := NewPRBS31(7)
-	bits := p.FillBits(nil, 100)
-	if len(bits) != 100 {
-		t.Fatalf("len = %d", len(bits))
-	}
-	for _, b := range bits {
-		if b > 1 {
-			t.Fatalf("bit out of range: %d", b)
-		}
-	}
-}
-
-func TestPRBSFillBytesDeterministic(t *testing.T) {
-	a := NewPRBS31(123).FillBytes(nil, 64)
-	b := NewPRBS31(123).FillBytes(nil, 64)
-	if !bytes.Equal(a, b) {
-		t.Fatal("same seed must give same sequence")
-	}
-	c := NewPRBS31(124).FillBytes(nil, 64)
-	if bytes.Equal(a, c) {
-		t.Fatal("different seeds should differ")
-	}
-}

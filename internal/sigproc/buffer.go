@@ -1,6 +1,7 @@
 // Package sigproc provides the digital signal processing substrate used by
 // the full-duplex backscatter simulator: complex-baseband sample buffers,
-// filters, correlation, FFT, tone detection and pseudo-random bit sequences.
+// a single-pole lowpass, normalised correlation against a fixed pattern
+// (Matcher), fractional delay, and bit packing and error counting.
 //
 // Everything operates on complex128 baseband samples. Allocation-heavy
 // operations offer an in-place or destination-buffer form so the
@@ -180,15 +181,6 @@ func (x IQ) PeakAbs() float64 {
 // DB converts a linear power ratio to decibels.
 func DB(lin float64) float64 { return 10 * math.Log10(lin) }
 
-// Lin converts decibels to a linear power ratio.
-func Lin(db float64) float64 { return math.Pow(10, db/10) }
-
-// DBm converts a power in watts to dBm.
-func DBm(watts float64) float64 { return 10*math.Log10(watts) + 30 }
-
-// Watts converts a power in dBm to watts.
-func Watts(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
-
 // AmplitudeForPower returns the amplitude whose square is the given power.
 func AmplitudeForPower(p float64) float64 {
 	if p <= 0 {
@@ -207,36 +199,4 @@ func MeanFloat(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Variance returns the population variance of a real slice (0 if empty).
-func Variance(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	m := MeanFloat(x)
-	var s float64
-	for _, v := range x {
-		d := v - m
-		s += d * d
-	}
-	return s / float64(len(x))
-}
-
-// MinMax returns the minimum and maximum of a real slice.
-// It returns (0, 0) for an empty slice.
-func MinMax(x []float64) (lo, hi float64) {
-	if len(x) == 0 {
-		return 0, 0
-	}
-	lo, hi = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

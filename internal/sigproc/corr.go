@@ -2,58 +2,11 @@ package sigproc
 
 import "math"
 
-// CrossCorrelate computes the sliding dot product of pattern against x at
-// every offset where the pattern fully fits, writing results into dst
-// (allocated if nil or short). The result has length len(x)-len(pattern)+1;
-// it is empty when the pattern does not fit.
-func CrossCorrelate(x, pattern IQ, dst IQ) IQ {
-	n := len(x) - len(pattern) + 1
-	if n < 0 {
-		n = 0
-	}
-	if cap(dst) < n {
-		dst = make(IQ, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		var acc complex128
-		for j, p := range pattern {
-			// Correlation uses the conjugate of the pattern.
-			acc += x[i+j] * complex(real(p), -imag(p))
-		}
-		dst[i] = acc
-	}
-	return dst
-}
-
-// CorrelateReal computes the sliding dot product of a real pattern against
-// a real signal, writing results into dst (allocated if nil or short).
-func CorrelateReal(x, pattern []float64, dst []float64) []float64 {
-	n := len(x) - len(pattern) + 1
-	if n < 0 {
-		n = 0
-	}
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j, p := range pattern {
-			acc += x[i+j] * p
-		}
-		dst[i] = acc
-	}
-	return dst
-}
-
 // Matcher is a precomputed pattern for repeated normalised
 // cross-correlation: the zero-mean pattern and its energy are derived
 // once at construction, so per-call work is only the sliding windows.
 // Receivers that correlate the same template against every incoming
-// block (e.g. preamble detection) should hold one Matcher instead of
-// calling NormalizedCorrelateReal, which re-derives the pattern (and
-// allocates) on every call.
+// block (e.g. preamble detection) hold one Matcher.
 type Matcher struct {
 	zp []float64 // zero-mean pattern
 	pe float64   // pattern energy sum(zp^2)
@@ -71,14 +24,10 @@ func NewMatcher(pattern []float64) *Matcher {
 	return m
 }
 
-// Len returns the pattern length.
-func (m *Matcher) Len() int { return len(m.zp) }
-
 // Correlate computes the normalised cross-correlation (cosine
 // similarity) of the matcher's pattern against x at every offset,
 // writing into dst (allocated if nil or short). Values are in [-1, 1];
-// offsets where either window has zero energy yield 0. The result is
-// identical to NormalizedCorrelateReal with the original pattern.
+// offsets where either window has zero energy yield 0.
 func (m *Matcher) Correlate(x []float64, dst []float64) []float64 {
 	n := len(x) - len(m.zp) + 1
 	if n < 0 {
@@ -115,15 +64,6 @@ func (m *Matcher) Correlate(x []float64, dst []float64) []float64 {
 	return dst
 }
 
-// NormalizedCorrelateReal computes the normalised cross-correlation
-// (cosine similarity) of a zero-mean pattern against x at every offset.
-// Values are in [-1, 1]; offsets where the window has zero energy yield 0.
-// Repeated correlation against a fixed pattern should use a Matcher,
-// which hoists the per-call pattern preparation this function performs.
-func NormalizedCorrelateReal(x, pattern []float64, dst []float64) []float64 {
-	return NewMatcher(pattern).Correlate(x, dst)
-}
-
 // PeakIndex returns the index of the maximum value in x, or -1 if x is
 // empty.
 func PeakIndex(x []float64) int {
@@ -134,23 +74,6 @@ func PeakIndex(x []float64) int {
 	for i, v := range x[1:] {
 		if v > x[best] {
 			best = i + 1
-		}
-	}
-	return best
-}
-
-// PeakAbsIndex returns the index of the maximum |x[i]| in a complex
-// buffer, or -1 if x is empty.
-func PeakAbsIndex(x IQ) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best, bm := 0, 0.0
-	for i, v := range x {
-		m := real(v)*real(v) + imag(v)*imag(v)
-		if m > bm {
-			bm = m
-			best = i
 		}
 	}
 	return best

@@ -5,49 +5,10 @@ import (
 	"testing"
 )
 
-func TestCrossCorrelateFindsPattern(t *testing.T) {
-	pattern := IQ{1, -1, 1}
-	x := make(IQ, 16)
-	copy(x[7:], pattern)
-	c := CrossCorrelate(x, pattern, nil)
-	if got := PeakAbsIndex(c); got != 7 {
-		t.Fatalf("peak at %d, want 7", got)
-	}
-}
-
-func TestCrossCorrelateLengths(t *testing.T) {
-	if got := len(CrossCorrelate(NewIQ(5), NewIQ(3), nil)); got != 3 {
-		t.Fatalf("len = %d, want 3", got)
-	}
-	if got := len(CrossCorrelate(NewIQ(2), NewIQ(3), nil)); got != 0 {
-		t.Fatalf("pattern longer than signal: len = %d, want 0", got)
-	}
-}
-
-func TestCrossCorrelateConjugates(t *testing.T) {
-	// Correlating a complex tone against itself should give a real peak
-	// equal to the pattern energy.
-	pattern := IQ{1i, 1i, 1i}
-	c := CrossCorrelate(pattern, pattern, nil)
-	if math.Abs(real(c[0])-3) > 1e-12 || math.Abs(imag(c[0])) > 1e-12 {
-		t.Fatalf("self-correlation = %v, want 3", c[0])
-	}
-}
-
-func TestCorrelateRealFindsPattern(t *testing.T) {
-	pattern := []float64{1, 0, 1}
-	x := make([]float64, 12)
-	copy(x[4:], pattern)
-	c := CorrelateReal(x, pattern, nil)
-	if got := PeakIndex(c); got != 4 {
-		t.Fatalf("peak at %d, want 4", got)
-	}
-}
-
 func TestNormalizedCorrelateBounds(t *testing.T) {
 	pattern := []float64{1, -1, 1, -1}
 	x := []float64{0, 1, -1, 1, -1, 0, 0, 5, 5, 5}
-	c := NormalizedCorrelateReal(x, pattern, nil)
+	c := NewMatcher(pattern).Correlate(x, nil)
 	for i, v := range c {
 		if v > 1+1e-9 || v < -1-1e-9 {
 			t.Fatalf("correlation %d out of [-1,1]: %g", i, v)
@@ -67,7 +28,7 @@ func TestNormalizedCorrelateScaleInvariant(t *testing.T) {
 	for i, p := range pattern {
 		x[6+i] = p * 100 // heavily scaled copy
 	}
-	c := NormalizedCorrelateReal(x, pattern, nil)
+	c := NewMatcher(pattern).Correlate(x, nil)
 	if got := PeakIndex(c); got != 6 {
 		t.Fatalf("peak at %d, want 6", got)
 	}
@@ -78,7 +39,7 @@ func TestNormalizedCorrelateScaleInvariant(t *testing.T) {
 
 func TestNormalizedCorrelateZeroEnergy(t *testing.T) {
 	// Constant pattern has zero variance after mean removal: define as 0.
-	c := NormalizedCorrelateReal([]float64{1, 2, 3}, []float64{5, 5}, nil)
+	c := NewMatcher([]float64{5, 5}).Correlate([]float64{1, 2, 3}, nil)
 	for _, v := range c {
 		if v != 0 {
 			t.Fatalf("zero-energy pattern should give 0, got %g", v)
@@ -90,13 +51,36 @@ func TestPeakIndexEmpty(t *testing.T) {
 	if PeakIndex(nil) != -1 {
 		t.Fatal("empty PeakIndex should be -1")
 	}
-	if PeakAbsIndex(nil) != -1 {
-		t.Fatal("empty PeakAbsIndex should be -1")
-	}
 }
 
-// A Matcher must reproduce NormalizedCorrelateReal exactly — it is the
-// hoisted-precompute form the preamble detector runs per frame.
+// normalizedCorrelate is the textbook definition a Matcher must reproduce:
+// at each offset, the cosine similarity of the mean-removed window and the
+// mean-removed pattern, or 0 where either has zero energy.
+func normalizedCorrelate(x, pattern []float64) []float64 {
+	pm := MeanFloat(pattern)
+	out := make([]float64, 0, len(x))
+	for i := 0; i+len(pattern) <= len(x); i++ {
+		w := x[i : i+len(pattern)]
+		wm := MeanFloat(w)
+		var acc, we, pe float64
+		for j, p := range pattern {
+			acc += (w[j] - wm) * (p - pm)
+			we += (w[j] - wm) * (w[j] - wm)
+			pe += (p - pm) * (p - pm)
+		}
+		if we == 0 || pe == 0 {
+			out = append(out, 0)
+			continue
+		}
+		out = append(out, acc/math.Sqrt(we*pe))
+	}
+	return out
+}
+
+// A Matcher must compute the normalised correlation of its pattern, and
+// reusing the matcher and its dst must reproduce its first result bit for
+// bit: it is the hoisted-precompute form the preamble detector runs per
+// frame.
 func TestMatcherMatchesNormalizedCorrelate(t *testing.T) {
 	src := []float64{0.4, 1.2, -0.7, 0.9, 0.1, 2.2, -1.5, 0.6, 0.0, 1.1, -0.3, 0.8}
 	for _, pat := range [][]float64{
@@ -104,22 +88,22 @@ func TestMatcherMatchesNormalizedCorrelate(t *testing.T) {
 		{2, 2, 2}, // zero-energy after mean removal
 		{0.5, -1.5, 0.25, 1},
 	} {
-		want := NormalizedCorrelateReal(src, pat, nil)
+		want := normalizedCorrelate(src, pat)
 		m := NewMatcher(pat)
 		got := m.Correlate(src, nil)
 		if len(got) != len(want) {
 			t.Fatalf("length %d != %d", len(got), len(want))
 		}
 		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("pattern %v offset %d: matcher %v != one-shot %v", pat, i, got[i], want[i])
+			if math.Abs(got[i]-want[i]) > 1e-12 {
+				t.Fatalf("pattern %v offset %d: matcher %v != definition %v", pat, i, got[i], want[i])
 			}
 		}
 		// Reusing the matcher and its dst must not change results.
-		dst := got[:0]
-		again := m.Correlate(src, dst)
+		first := append([]float64(nil), got...)
+		again := m.Correlate(src, got[:0])
 		for i := range again {
-			if again[i] != want[i] {
+			if again[i] != first[i] {
 				t.Fatalf("reused matcher diverged at %d", i)
 			}
 		}
@@ -136,9 +120,6 @@ func TestMatcherCopiesPattern(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatal("matcher must not alias the caller's pattern")
 		}
-	}
-	if m.Len() != 3 {
-		t.Fatalf("Len = %d", m.Len())
 	}
 }
 

@@ -1,7 +1,6 @@
 package sigproc
 
 import (
-	"math"
 	"math/cmplx"
 	"testing"
 )
@@ -44,142 +43,5 @@ func TestFractionalDelayNegativeAdvances(t *testing.T) {
 	}
 	if y[3] != 0 {
 		t.Fatalf("samples beyond end should be 0, got %v", y[3])
-	}
-}
-
-func TestResampleIdentity(t *testing.T) {
-	x := IQ{1, 2, 3, 4}
-	y := Resample(x, 1e6, 1e6)
-	if len(y) != len(x) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range x {
-		if cmplx.Abs(y[i]-x[i]) > 1e-12 {
-			t.Fatalf("identity resample changed data: %v", y)
-		}
-	}
-}
-
-func TestResampleDoubles(t *testing.T) {
-	x := IQ{0, 2}
-	y := Resample(x, 1, 2)
-	if len(y) != 4 {
-		t.Fatalf("len = %d, want 4", len(y))
-	}
-	if cmplx.Abs(y[1]-1) > 1e-12 {
-		t.Fatalf("interpolated midpoint = %v, want 1", y[1])
-	}
-}
-
-func TestResampleToneFrequencyPreserved(t *testing.T) {
-	// A tone at f stays at f after resampling 1 MHz -> 2 MHz.
-	const n = 512
-	x := NewIQ(n)
-	for i := range x {
-		ph := 2 * math.Pi * 32 * float64(i) / n
-		x[i] = cmplx.Exp(complex(0, ph))
-	}
-	y := Resample(x, 1e6, 2e6)
-	ps := PowerSpectrum(y[:1024])
-	// Original bin 32 of 512 at 1 MHz = 62.5 kHz -> bin 32 of 1024 at 2 MHz.
-	if got := PeakIndex(ps); got != 32 {
-		t.Fatalf("tone moved to bin %d, want 32", got)
-	}
-}
-
-func TestResamplePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Resample(NewIQ(4), 0, 1)
-}
-
-func TestDecimate(t *testing.T) {
-	x := IQ{0, 1, 2, 3, 4, 5, 6}
-	y := Decimate(x, 3, nil)
-	want := IQ{0, 3, 6}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y = %v, want %v", y, want)
-		}
-	}
-}
-
-func TestDecimatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Decimate(NewIQ(4), 0, nil)
-}
-
-func TestUpsampleZeroOrderHold(t *testing.T) {
-	x := IQ{1, 2}
-	y := Upsample(x, 3, nil)
-	want := IQ{1, 1, 1, 2, 2, 2}
-	if len(y) != len(want) {
-		t.Fatalf("len = %d", len(y))
-	}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("y = %v, want %v", y, want)
-		}
-	}
-}
-
-func TestUpsampleDecimateRoundTrip(t *testing.T) {
-	x := IQ{1 + 1i, 2, 3 - 1i, 4}
-	y := Decimate(Upsample(x, 4, nil), 4, nil)
-	for i := range x {
-		if y[i] != x[i] {
-			t.Fatalf("round trip mismatch: %v vs %v", y, x)
-		}
-	}
-}
-
-func TestUpsamplePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Upsample(NewIQ(4), -1, nil)
-}
-
-// ResampleInto must match Resample and reuse the destination,
-// including zeroing stale contents for empty input.
-func TestResampleIntoMatchesAndReuses(t *testing.T) {
-	x := make(IQ, 50)
-	for i := range x {
-		x[i] = complex(float64(i), -float64(i))
-	}
-	want := Resample(x, 1e6, 1.7e6)
-	dst := make(IQ, 0, len(want)+8)
-	got := ResampleInto(x, 1e6, 1.7e6, dst)
-	if len(got) != len(want) {
-		t.Fatalf("length %d != %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: %v != %v", i, got[i], want[i])
-		}
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		got = ResampleInto(x, 1e6, 1.7e6, got)
-	})
-	if allocs != 0 {
-		t.Fatalf("ResampleInto with reused dst allocates %.1f objects", allocs)
-	}
-	// Empty input into a dirty buffer must come back zeroed, exactly
-	// like the allocating form.
-	dirty := IQ{1 + 2i, 3 + 4i}
-	if out := ResampleInto(nil, 1, 1, dirty); len(out) != 0 {
-		t.Fatalf("empty input produced %d samples", len(out))
 	}
 }

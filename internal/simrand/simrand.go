@@ -107,14 +107,6 @@ func (s *Source) ComplexNormal(variance float64) complex128 {
 	return complex(sigma*s.norm(), sigma*s.norm())
 }
 
-// Rayleigh returns a Rayleigh-distributed amplitude whose mean square is
-// meanSquare, i.e. the envelope of a complex Gaussian with that power.
-func (s *Source) Rayleigh(meanSquare float64) float64 {
-	// |h| where h ~ CN(0, meanSquare).
-	h := s.ComplexNormal(meanSquare)
-	return math.Hypot(real(h), imag(h))
-}
-
 // RayleighCoeff returns a complex channel coefficient h ~ CN(0, power):
 // Rayleigh-fading amplitude with uniform phase and E[|h|^2] = power.
 func (s *Source) RayleighCoeff(power float64) complex128 {

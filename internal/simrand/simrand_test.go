@@ -85,23 +85,6 @@ func TestComplexNormalPower(t *testing.T) {
 	}
 }
 
-func TestRayleighMeanSquare(t *testing.T) {
-	s := New(17)
-	const n = 200000
-	const ms = 2.5
-	var sum float64
-	for i := 0; i < n; i++ {
-		r := s.Rayleigh(ms)
-		if r < 0 {
-			t.Fatal("Rayleigh draw must be nonnegative")
-		}
-		sum += r * r
-	}
-	if got := sum / n; math.Abs(got-ms) > 0.1 {
-		t.Fatalf("mean square = %g, want %g", got, ms)
-	}
-}
-
 func TestRicianKZeroIsRayleighLike(t *testing.T) {
 	s := New(19)
 	const n = 100000

@@ -1,121 +1,15 @@
-// Package trace provides the small metrics toolkit the experiment
-// harness uses: counters, running statistics, histograms, and table
-// rendering in aligned-text or CSV form.
+// Package trace provides the result tables the experiment harness
+// prints: typed cells (Cell) collected into a Table and rendered as
+// aligned text or CSV.
 package trace
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// Running accumulates mean/variance/min/max in one pass (Welford).
-type Running struct {
-	n        int
-	mean, m2 float64
-	min, max float64
-}
-
-// Add records one observation.
-func (r *Running) Add(v float64) {
-	if r.n == 0 {
-		r.min, r.max = v, v
-	} else {
-		if v < r.min {
-			r.min = v
-		}
-		if v > r.max {
-			r.max = v
-		}
-	}
-	r.n++
-	d := v - r.mean
-	r.mean += d / float64(r.n)
-	r.m2 += d * (v - r.mean)
-}
-
-// N returns the observation count.
-func (r *Running) N() int { return r.n }
-
-// Mean returns the running mean (0 when empty).
-func (r *Running) Mean() float64 { return r.mean }
-
-// Var returns the population variance (0 when n < 2).
-func (r *Running) Var() float64 {
-	if r.n < 2 {
-		return 0
-	}
-	return r.m2 / float64(r.n)
-}
-
-// Std returns the population standard deviation.
-func (r *Running) Std() float64 { return math.Sqrt(r.Var()) }
-
-// Min and Max return the extremes (0 when empty).
-func (r *Running) Min() float64 { return r.min }
-
-// Max returns the maximum observation.
-func (r *Running) Max() float64 { return r.max }
-
-// Histogram is a fixed-bin histogram over [Lo, Hi); out-of-range values
-// clamp into the edge bins.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int64
-	total  int64
-}
-
-// NewHistogram returns a histogram with n bins over [lo, hi).
-// It panics if n < 1 or hi <= lo.
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n < 1 || hi <= lo {
-		panic("trace: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int64, n)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	i := int((v - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.Counts) {
-		i = len(h.Counts) - 1
-	}
-	h.Counts[i]++
-	h.total++
-}
-
-// Total returns the observation count.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Quantile returns the approximate q-quantile (bin midpoint), q in
-// [0, 1].
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(h.total))
-	var cum int64
-	binW := (h.Hi - h.Lo) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		cum += c
-		if cum > target {
-			return h.Lo + (float64(i)+0.5)*binW
-		}
-	}
-	return h.Hi
-}
 
 // Cell is one typed table entry. Cells carry the raw value and format
 // lazily at render time, so the hot experiment loops that produce rows
@@ -324,19 +218,4 @@ func quoteCSV(c string) string {
 		return "\"" + strings.ReplaceAll(c, "\"", "\"\"") + "\""
 	}
 	return c
-}
-
-// SortByColumn sorts rows by the numeric (fallback string) value of the
-// given column index.
-func (t *Table) SortByColumn(col int) {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		a, b := t.rows[i][col].String(), t.rows[j][col].String()
-		var fa, fb float64
-		na, errA := fmt.Sscanf(a, "%g", &fa)
-		nb, errB := fmt.Sscanf(b, "%g", &fb)
-		if na == 1 && nb == 1 && errA == nil && errB == nil {
-			return fa < fb
-		}
-		return a < b
-	})
 }

@@ -1,90 +1,9 @@
 package trace
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
-
-func TestRunningMoments(t *testing.T) {
-	var r Running
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		r.Add(v)
-	}
-	if r.N() != 8 {
-		t.Fatalf("n = %d", r.N())
-	}
-	if math.Abs(r.Mean()-5) > 1e-12 {
-		t.Fatalf("mean = %g", r.Mean())
-	}
-	if math.Abs(r.Var()-4) > 1e-12 {
-		t.Fatalf("var = %g", r.Var())
-	}
-	if math.Abs(r.Std()-2) > 1e-12 {
-		t.Fatalf("std = %g", r.Std())
-	}
-	if r.Min() != 2 || r.Max() != 9 {
-		t.Fatalf("min/max = %g/%g", r.Min(), r.Max())
-	}
-}
-
-func TestRunningEmpty(t *testing.T) {
-	var r Running
-	if r.Mean() != 0 || r.Var() != 0 || r.Min() != 0 || r.Max() != 0 {
-		t.Fatal("empty running stats must be zero")
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(float64(i%10) + 0.5)
-	}
-	if h.Total() != 100 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 10 {
-			t.Fatalf("bin %d = %d, want 10", i, c)
-		}
-	}
-}
-
-func TestHistogramClamps(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	h.Add(-100)
-	h.Add(1e9)
-	if h.Counts[0] != 1 || h.Counts[4] != 1 {
-		t.Fatalf("clamping failed: %v", h.Counts)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(0, 100, 100)
-	for i := 0; i < 1000; i++ {
-		h.Add(float64(i % 100))
-	}
-	med := h.Quantile(0.5)
-	if med < 45 || med > 55 {
-		t.Fatalf("median = %g", med)
-	}
-	if h.Quantile(-1) > h.Quantile(2) {
-		t.Fatal("clamped quantiles out of order")
-	}
-	var empty Histogram
-	if empty.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile must be 0")
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewHistogram(5, 5, 10)
-}
 
 func TestTableText(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
@@ -234,20 +153,6 @@ func TestTableFloatFormatting(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "0\n") || !strings.Contains(out, "e-09") || !strings.Contains(out, "e+08") {
 		t.Fatalf("float formatting unexpected:\n%s", out)
-	}
-}
-
-func TestTableSort(t *testing.T) {
-	tb := NewTable("", "k", "v")
-	tb.AddRow("10", "c")
-	tb.AddRow("2", "a")
-	tb.AddRow("33", "b")
-	tb.SortByColumn(0)
-	var sb strings.Builder
-	tb.WriteCSV(&sb)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if lines[1] != "2,a" || lines[3] != "33,b" {
-		t.Fatalf("numeric sort broken: %v", lines)
 	}
 }
 
