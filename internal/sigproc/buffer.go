@@ -1,7 +1,8 @@
 // Package sigproc provides the digital signal processing substrate used by
 // the full-duplex backscatter simulator: complex-baseband sample buffers,
-// a single-pole lowpass, normalised correlation against a fixed pattern
-// (Matcher), fractional delay, and bit packing and error counting.
+// moving-average and single-pole lowpass filters, normalised correlation
+// against a fixed pattern (Matcher), fractional delay, and bit packing and
+// error counting.
 //
 // Everything operates on complex128 baseband samples. Allocation-heavy
 // operations offer an in-place or destination-buffer form so the
@@ -197,6 +198,20 @@ func MeanFloat(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		s += v
+	}
+	return s / float64(len(x))
+}
+
+// Variance returns the population variance of a real slice (0 if empty).
+func Variance(x []float64) float64 {
+	if len(x) == 0 {
+		return 0
+	}
+	m := MeanFloat(x)
+	var s float64
+	for _, v := range x {
+		d := v - m
+		s += d * d
 	}
 	return s / float64(len(x))
 }

@@ -140,13 +140,16 @@ func TestAmplitudeForPower(t *testing.T) {
 	}
 }
 
-func TestMeanFloat(t *testing.T) {
+func TestMeanVariance(t *testing.T) {
 	x := []float64{1, 2, 3, 4}
 	if got := MeanFloat(x); !almostEq(got, 2.5, eps) {
 		t.Fatalf("mean = %g", got)
 	}
-	if MeanFloat(nil) != 0 {
-		t.Fatal("empty mean should be zero")
+	if got := Variance(x); !almostEq(got, 1.25, eps) {
+		t.Fatalf("variance = %g", got)
+	}
+	if MeanFloat(nil) != 0 || Variance(nil) != 0 {
+		t.Fatal("empty stats should be zero")
 	}
 }
 

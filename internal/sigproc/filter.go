@@ -5,6 +5,69 @@ import (
 	"math"
 )
 
+// MovingAverage is a streaming boxcar filter over real samples: averaging
+// N samples improves the SNR of a constant level by a factor of N against
+// white noise.
+//
+// The zero value is not usable; construct with NewMovingAverage.
+type MovingAverage struct {
+	buf  []float64
+	sum  float64
+	idx  int
+	full bool
+}
+
+// NewMovingAverage returns a moving-average filter over a window of n
+// samples. It panics if n < 1.
+func NewMovingAverage(n int) *MovingAverage {
+	if n < 1 {
+		panic("sigproc: moving average window must be >= 1")
+	}
+	return &MovingAverage{buf: make([]float64, n)}
+}
+
+// Push adds a sample and returns the current window average. Before the
+// window fills, the average is over the samples seen so far.
+func (m *MovingAverage) Push(v float64) float64 {
+	m.sum += v - m.buf[m.idx]
+	m.buf[m.idx] = v
+	m.idx++
+	if m.idx == len(m.buf) {
+		m.idx = 0
+		m.full = true
+	}
+	n := len(m.buf)
+	if !m.full {
+		n = m.idx
+	}
+	return m.sum / float64(n)
+}
+
+// Value returns the current average without pushing a new sample.
+func (m *MovingAverage) Value() float64 {
+	n := len(m.buf)
+	if !m.full {
+		n = m.idx
+		if n == 0 {
+			return 0
+		}
+	}
+	return m.sum / float64(n)
+}
+
+// Reset clears the filter state.
+func (m *MovingAverage) Reset() {
+	for i := range m.buf {
+		m.buf[i] = 0
+	}
+	m.sum = 0
+	m.idx = 0
+	m.full = false
+}
+
+// Window returns the configured window length.
+func (m *MovingAverage) Window() int { return len(m.buf) }
+
 // SinglePoleIIR is a first-order lowpass y[n] = a*x[n] + (1-a)*y[n-1],
 // modelling an RC detector filter. The coefficient a is derived from the
 // -3 dB cutoff frequency relative to the sample rate.

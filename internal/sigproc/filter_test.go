@@ -3,7 +3,91 @@ package sigproc
 import (
 	"math"
 	"testing"
+	"testing/quick"
 )
+
+func TestMovingAverageConstantInput(t *testing.T) {
+	m := NewMovingAverage(4)
+	for i := 0; i < 10; i++ {
+		got := m.Push(3)
+		if !almostEq(got, 3, eps) {
+			t.Fatalf("push %d: got %g, want 3", i, got)
+		}
+	}
+}
+
+func TestMovingAveragePartialWindow(t *testing.T) {
+	m := NewMovingAverage(4)
+	if got := m.Push(2); !almostEq(got, 2, eps) {
+		t.Fatalf("first push = %g", got)
+	}
+	if got := m.Push(4); !almostEq(got, 3, eps) {
+		t.Fatalf("second push = %g", got)
+	}
+	if got := m.Value(); !almostEq(got, 3, eps) {
+		t.Fatalf("Value = %g", got)
+	}
+}
+
+func TestMovingAverageSlides(t *testing.T) {
+	m := NewMovingAverage(2)
+	m.Push(0)
+	m.Push(10)
+	if got := m.Push(20); !almostEq(got, 15, eps) {
+		t.Fatalf("got %g, want 15", got)
+	}
+}
+
+func TestMovingAverageReset(t *testing.T) {
+	m := NewMovingAverage(3)
+	m.Push(5)
+	m.Reset()
+	if m.Value() != 0 {
+		t.Fatal("Value after Reset should be 0")
+	}
+	if got := m.Push(7); !almostEq(got, 7, eps) {
+		t.Fatalf("push after reset = %g", got)
+	}
+}
+
+func TestMovingAveragePanicsOnBadWindow(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	NewMovingAverage(0)
+}
+
+func TestMovingAverageWindow(t *testing.T) {
+	if NewMovingAverage(7).Window() != 7 {
+		t.Fatal("Window mismatch")
+	}
+}
+
+// Property: after the window fills, the output equals the brute-force
+// average of the last N inputs.
+func TestMovingAverageMatchesBruteForce(t *testing.T) {
+	f := func(vals []uint8, winRaw uint8) bool {
+		win := int(winRaw%8) + 1
+		if len(vals) < win {
+			return true
+		}
+		m := NewMovingAverage(win)
+		var last float64
+		for _, v := range vals {
+			last = m.Push(float64(v))
+		}
+		var sum float64
+		for _, v := range vals[len(vals)-win:] {
+			sum += float64(v)
+		}
+		return almostEq(last, sum/float64(win), 1e-9)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSinglePoleIIRConverges(t *testing.T) {
 	f := NewSinglePoleIIR(1000, 1e6)
