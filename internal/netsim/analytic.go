@@ -65,16 +65,17 @@ const pendEps = 1e-9
 // draw from the tag's loss stream per singleton slot.
 func (e *engine) analyticFrame(i int32) mac.Result {
 	t := &e.tags
-	p := t.lossP[i]
+	ts := &t.stats[i]
+	p := ts.ChunkLossProb
 	chunkAirF := float64(e.chunkAir)
 	mult := 1.0
 	ri := 0
 	f := e.fade
 	if f != nil {
-		ri = f.oracleRate(f.meanSNR[i])
+		ri = f.oracleRate(ts.SNRdB)
 		r := f.rates[ri]
 		mult = r.Mult
-		p = rateadapt.ChunkLossProb(r, f.meanSNR[i])
+		p = rateadapt.ChunkLossProb(r, ts.SNRdB)
 		chunkAirF /= mult
 	}
 	if flt := e.flt; flt != nil {
@@ -114,7 +115,7 @@ func (e *engine) analyticFrame(i int32) mac.Result {
 		}
 		pDeliver = math.Pow(1-math.Pow(p, float64(A)), float64(n))
 	default: // full-duplex
-		fail := 1 - (1-p)*(1-t.fbBER[i])
+		fail := 1 - (1-p)*(1-ts.FeedbackBER)
 		pend := float64(n)
 		failK := 1.0
 		for k := 0; k < A && pend > pendEps; k++ {
@@ -132,12 +133,12 @@ func (e *engine) analyticFrame(i int32) mac.Result {
 
 	if f != nil {
 		ci := int64(math.Round(chunkTx))
-		f.chunks[i] += ci
+		ts.AdaptChunks += ci
 		f.rateChunks[int(i)*f.nr+ri] += ci
 		f.rateLost[int(i)*f.nr+ri] += int64(math.Round(chunkTx * p))
 		f.invMult[i] += chunkTx / mult
 		if int32(ri) != f.prevRate[i] {
-			f.switches[i]++
+			ts.RateSwitches++
 			f.prevRate[i] = int32(ri)
 		}
 	}

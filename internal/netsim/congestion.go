@@ -76,7 +76,8 @@ func (c CongestionSpec) enabled() bool { return c.Controller != "" }
 // columns, allocated once at setup (nil on the engine when the spec is
 // disabled). A tag's row is touched by exactly one goroutine per
 // phase — its tag shard in phaseCong and phaseServe, its reader cell's
-// owner in phaseGrants — so no synchronisation is needed.
+// owner in phaseGrants — so no synchronisation is needed. The whole-run
+// counters accumulate straight into the tag's TagStats row.
 type congState struct {
 	queueCap   float64
 	rtoMin     float64
@@ -108,10 +109,6 @@ type congState struct {
 	retxQ   []int32
 	retxAt  []float64
 	backoff []uint8
-	// Whole-run counters, drained into TagStats at the end.
-	timeouts  []int32
-	retxCount []int32
-	retxDrops []int32
 }
 
 // newCongState allocates and initialises the columns for n tags.
@@ -139,9 +136,6 @@ func newCongState(spec CongestionSpec, n, queueCap int) *congState {
 		retxQ:      make([]int32, n),
 		retxAt:     make([]float64, n),
 		backoff:    make([]uint8, n),
-		timeouts:   make([]int32, n),
-		retxCount:  make([]int32, n),
-		retxDrops:  make([]int32, n),
 	}
 	rto0 := spec.InitialRTORounds
 	if rto0 < c.rtoMin {
@@ -197,7 +191,7 @@ func (c *congState) backoffDelay(t *tagState, i int) float64 {
 func (c *congState) park(t *tagState, i, round int) {
 	if c.retxQ[i] >= c.retxCap {
 		t.stats[i].FramesDropped++
-		c.retxDrops[i]++
+		t.stats[i].RetxDropped++
 		return
 	}
 	if c.retxQ[i] == 0 {
@@ -210,8 +204,8 @@ func (c *congState) park(t *tagState, i, round int) {
 // epoch — shared by RTO expiry and MAC-attempt exhaustion.
 //
 //fdlint:noalloc
-func (c *congState) lossEvent(i, round int) {
-	c.timeouts[i]++
+func (c *congState) lossEvent(t *tagState, i, round int) {
+	t.stats[i].Timeouts++
 	c.inServ[i] = false
 	c.wMax[i] = c.cwnd[i]
 	c.cwnd[i] *= 1 - c.beta
@@ -303,7 +297,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 			// A churned-away tag keeps its timers running: an RTO that
 			// fires while it is gone becomes backoff it returns with.
 			if c.inServ[i] && float64(round-int(c.servStart[i])) >= c.rtoEff(i) {
-				c.lossEvent(i, round)
+				c.lossEvent(t, i, round)
 				// The flushed departure already dropped the frame, so
 				// nothing is parked; stale service just ends.
 				if t.queue[i] > 0 {
@@ -321,7 +315,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 			}
 			// RTO fired: multiplicative decrease, park the frame for a
 			// backed-off, jittered retransmission, sit out this round.
-			c.lossEvent(i, round)
+			c.lossEvent(t, i, round)
 			t.queue[i]--
 			c.park(t, i, round)
 			continue
@@ -332,7 +326,7 @@ func (e *engine) congShard(w *netWorker, lo, hi int) {
 			if float64(round) >= c.retxAt[i] {
 				c.retxQ[i]--
 				t.queue[i]++
-				c.retxCount[i]++
+				t.stats[i].Retransmissions++
 				if c.retxQ[i] > 0 {
 					c.retxAt[i] = float64(round) + c.backoffDelay(t, i)
 				}

@@ -10,7 +10,7 @@ import (
 // and every setup slice. A new per-tag column, or a config copy in
 // every row, shows up here before it shows up as resident memory at a
 // million tags.
-const maxBytesPerTag = 600
+const maxBytesPerTag = 510
 
 func TestMillionBytesPerTag(t *testing.T) {
 	sc, err := Preset("million")

@@ -71,15 +71,15 @@ import (
 // tagState is the engine's per-tag state as parallel slices (struct of
 // arrays): each round-loop pass touches only the columns it needs, so a
 // million-tag pass streams contiguous memory instead of striding over
-// one fat struct per tag. A column exists only when some phase reads it
-// per tag: configuration every tag shares (the energy budget's
-// harvester, capacitor and circuit draw) lives once on the engine.
+// one fat struct per tag. Every per-tag value has one home: a column
+// exists only for a value no TagStats field holds, or one a pass over
+// every tag reads each round or epoch (reader, pos). Configuration
+// every tag shares (the energy budget's harvester, capacitor and
+// circuit draw) lives once on the engine.
 type tagState struct {
 	pos      []Position // PlaceTags' slice, moved by the mobility walk
 	reader   []int32    // serving reader (strongest carrier, re-derived per epoch)
 	harvestW []float64  // total harvestable RF power under independent scheduling
-	lossP    []float64  // geometry-derived forward chunk-loss probability
-	fbBER    []float64  // geometry-derived feedback BER
 	queue    []int32    // frames awaiting delivery
 	// Energy budget state: stored energy and accumulated outage time,
 	// stepped through the engine's shared energy.Budget configuration.
@@ -102,8 +102,6 @@ func newTagState(n int) tagState {
 	return tagState{
 		reader:   make([]int32, n),
 		harvestW: make([]float64, n),
-		lossP:    make([]float64, n),
-		fbBER:    make([]float64, n),
 		queue:    make([]int32, n),
 		energyJ:  make([]float64, n),
 		outageT:  make([]float64, n),
@@ -688,8 +686,9 @@ func (e *engine) arrive(trafficSrc *simrand.Source) {
 		return
 	}
 	t := &e.tags
+	l := math.Exp(-sc.OfferedLoad) // Poisson's threshold, once per round
 	for i := 0; i < sc.Tags; i++ {
-		k := trafficSrc.Poisson(sc.OfferedLoad)
+		k := trafficSrc.PoissonL(sc.OfferedLoad, l)
 		if !t.alive[i] {
 			continue
 		}
@@ -813,20 +812,20 @@ func (e *engine) drain(res *NetResult) {
 	// Serial in tag order: the float sums (adaptInvMult, cwndSum)
 	// depend on order and must match the serial engine exactly.
 	if f := e.fade; f != nil {
-		for i := range f.switches {
-			res.RateSwitches += f.switches[i]
-			res.AdaptChunks += f.chunks[i]
-			res.AdaptLagChunks += f.lag[i]
-			res.adaptInvMult += f.invMult[i]
+		s := &e.pool.adaptSums
+		res.RateSwitches, res.AdaptChunks, res.AdaptLagChunks = s[0].Load(), s[1].Load(), s[2].Load()
+		for _, m := range f.invMult {
+			res.adaptInvMult += m
 		}
 	}
 	if c := e.cong; c != nil {
-		for i := range c.timeouts {
-			res.Timeouts += int64(c.timeouts[i])
-			res.Retransmissions += int64(c.retxCount[i])
-			res.RetxDropped += int64(c.retxDrops[i])
+		for i := range res.Tags {
+			ts := &res.Tags[i]
+			res.Timeouts += int64(ts.Timeouts)
+			res.Retransmissions += int64(ts.Retransmissions)
+			res.RetxDropped += int64(ts.RetxDropped)
 			res.cwndSum += c.cwnd[i]
-			e.rstats[e.tags.reader[i]].Timeouts += int64(c.timeouts[i])
+			e.rstats[e.tags.reader[i]].Timeouts += int64(ts.Timeouts)
 		}
 	}
 	for r := range e.rstats {
@@ -1069,8 +1068,9 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 		}
 		// Forward link: SNR at the tag sets the chunk-loss cliff exactly
 		// as the rate-adaptation channel model does.
+		stats := t.stats[b0 : b0+nb]
 		for j, snr := range snrDB {
-			t.lossP[b0+j] = rateadapt.ChunkLossProb(e.rate, snr)
+			stats[j].ChunkLossProb = rateadapt.ChunkLossProb(e.rate, snr)
 		}
 		// Reverse link: the backscattered feedback rides a round-trip
 		// channel; its BER follows the Manchester decoder prediction with
@@ -1078,25 +1078,20 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 		// (normalised separation g*sqrt(rho), noise referred to the
 		// transmit envelope).
 		for j, bg := range bestG {
-			t.fbBER[b0+j] = feedback.ManchesterBER(bg*sqrtRho, math.Sqrt(noiseW[j]/2)/sqrtTx, sc.FeedbackSamplesPerBit)
+			stats[j].FeedbackBER = feedback.ManchesterBER(bg*sqrtRho, math.Sqrt(noiseW[j]/2)/sqrtTx, sc.FeedbackSamplesPerBit)
 		}
+		// SNRdB is also the fading mean under rate adaptation: a
+		// mobility epoch moves the mean, while the small-scale
+		// Gauss-Markov state persists, so motion shifts the channel
+		// without resetting it.
 		for j, snr := range snrDB {
 			i := b0 + j
-			if e.fade != nil {
-				// Under rate adaptation a mobility epoch re-derives the
-				// fading MEAN; the small-scale Gauss-Markov state
-				// persists, so motion shifts the channel without
-				// resetting it.
-				e.fade.meanSNR[i] = snr
-			}
 			best := int(t.reader[i])
-			ts := &t.stats[i]
+			ts := &stats[j]
 			ts.Reader = best
 			ts.X, ts.Y = t.pos[i].X, t.pos[i].Y
 			ts.DistanceM = dist[j*R+best]
 			ts.SNRdB = snr
-			ts.ChunkLossProb = t.lossP[i]
-			ts.FeedbackBER = t.fbBER[i]
 		}
 	}
 }
@@ -1158,7 +1153,8 @@ func (e *engine) settleShard(lo, hi int) {
 }
 
 // drainShard is the parallel body of the end-of-run finalisation for
-// tags [lo, hi): adaptation stats, outage, lifetime.
+// tags [lo, hi): what TagStats does not already hold (rate histograms,
+// mean rate multiplier, controller state, outage, lifetime).
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1166,23 +1162,21 @@ func (e *engine) drainShard(lo, hi int) {
 	t := &e.tags
 	sim := e.settleNow
 	b := e.budget
+	var switches, chunks, lag int64
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
 		if f := e.fade; f != nil {
 			nr := f.nr
 			ts.RateChunks = f.rateChunks[i*nr : (i+1)*nr : (i+1)*nr]
 			ts.RateLostChunks = f.rateLost[i*nr : (i+1)*nr : (i+1)*nr]
-			ts.RateSwitches = f.switches[i]
-			ts.AdaptChunks = f.chunks[i]
-			ts.AdaptLagChunks = f.lag[i]
 			if f.invMult[i] > 0 {
-				ts.MeanRateMult = float64(f.chunks[i]) / f.invMult[i]
+				ts.MeanRateMult = float64(ts.AdaptChunks) / f.invMult[i]
 			}
+			switches += ts.RateSwitches
+			chunks += ts.AdaptChunks
+			lag += ts.AdaptLagChunks
 		}
 		if c := e.cong; c != nil {
-			ts.Timeouts = int(c.timeouts[i])
-			ts.Retransmissions = int(c.retxCount[i])
-			ts.RetxDropped = int(c.retxDrops[i])
 			ts.CwndFinal = c.cwnd[i]
 			if c.srtt[i] > 0 {
 				ts.SRTTRounds = c.srtt[i]
@@ -1195,6 +1189,10 @@ func (e *engine) drainShard(lo, hi int) {
 			ts.LifetimeS = sim
 		}
 	}
+	s := &e.pool.adaptSums
+	s[0].Add(switches)
+	s[1].Add(chunks)
+	s[2].Add(lag)
 }
 
 // runFrame pushes one frame of tag i through the scenario's MAC
@@ -1209,8 +1207,9 @@ func (e *engine) drainShard(lo, hi int) {
 //fdlint:noalloc
 func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 	t := &e.tags
+	ts := &t.stats[i]
 	w.iid.Src = &t.loss[i]
-	w.iid.P = t.lossP[i]
+	w.iid.P = ts.ChunkLossProb
 	extraP := 0.0
 	if f := e.flt; f != nil {
 		// An interference burst on this cell composes into the forward
@@ -1228,7 +1227,7 @@ func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
 		w.fv.extraP = extraP
 		loss = &w.fv
 	}
-	w.params.FeedbackBER = t.fbBER[i]
+	w.params.FeedbackBER = ts.FeedbackBER
 	var mr mac.Result
 	switch e.sc.Protocol {
 	case "stop-and-wait":
@@ -1339,7 +1338,7 @@ func (e *engine) serveSlot(w *netWorker, sa *serveAcc, i int32) {
 		// MAC-attempt exhaustion is a loss event: the frame parks on
 		// the retx queue under multiplicative decrease and backoff
 		// instead of hammering the cell again next round.
-		c.lossEvent(int(i), e.curRound)
+		c.lossEvent(t, int(i), e.curRound)
 		c.park(t, int(i), e.curRound)
 	} else {
 		// Undelivered after MaxAttempts: re-queue for a later

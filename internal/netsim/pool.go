@@ -121,6 +121,9 @@ type pool struct {
 	// anyQueued is OR'd by settle shards: true when some live tag still
 	// holds a frame (drives closed-loop termination). Order-free.
 	anyQueued atomic.Bool
+	// adaptSums totals the drain shards' RateSwitches, AdaptChunks and
+	// AdaptLagChunks while each row is in cache. Integer, so order-free.
+	adaptSums [3]atomic.Int64
 }
 
 // start builds the worker scratch and parks workers-1 helper

@@ -90,10 +90,11 @@ func fadeSeed(seed uint64, tag int) uint64 {
 }
 
 // fadeState is the closed-loop adaptation state for every tag, stored
-// as parallel columns like tagState: the Gauss-Markov coefficient and
-// its cached gain, the per-tag fading stream (stored inline), the
-// adapter's mutable state, and the whole-run accumulators that drain
-// into TagStats. A worker binds a fadeView over one tag's row for the
+// as parallel columns like tagState: the Gauss-Markov coefficient, the
+// per-tag fading stream (stored inline), the adapter's mutable state,
+// and the accumulators TagStats does not hold (its SNRdB is the fading
+// mean, and the chunk, switch and lag counts accumulate in its row).
+// A worker binds a fadeView over one tag's row for the
 // duration of a MAC exchange; the binding worker (the tag's cell
 // owner) is the only goroutine that touches the row, so no
 // synchronisation is needed.
@@ -103,12 +104,9 @@ type fadeState struct {
 	rho   float64
 	fdFB  bool // adapter consumes per-chunk feedback (fd)
 
-	// meanSNR is re-derived per epoch by deriveLinks (the fading state
-	// h deliberately persists across epochs: mobility moves the mean,
-	// not the small-scale process).
-	meanSNR []float64
-	h       []complex128
-	gainDB  []float64
+	// h is the small-scale fading state; it persists across mobility
+	// epochs, which move only the mean.
+	h []complex128
 	// fadeSrc holds each tag's fading stream, drawn in place.
 	fadeSrc []simrand.Source
 
@@ -123,12 +121,10 @@ type fadeState struct {
 	seed     uint64
 	initRate int32
 
-	// Whole-run accumulators, drained into TagStats at the end.
-	// rateChunks/rateLost are row-major [tag*nr+rate].
+	// Whole-run accumulators TagStats does not hold: invMult sums 1/m in
+	// chunk order (MeanRateMult's bits depend on it), rateChunks/rateLost
+	// are row-major [tag*nr+rate].
 	prevRate   []int32
-	chunks     []int64
-	switches   []int64
-	lag        []int64
 	invMult    []float64
 	rateChunks []int64
 	rateLost   []int64
@@ -146,14 +142,9 @@ func newFadeState(spec RateAdaptSpec, n int, seed uint64) *fadeState {
 		nr:         nr,
 		rho:        spec.FadeRho,
 		fdFB:       spec.Adapter == RateAdaptFD,
-		meanSNR:    make([]float64, n),
 		h:          make([]complex128, n),
-		gainDB:     make([]float64, n),
 		fadeSrc:    make([]simrand.Source, n),
 		prevRate:   make([]int32, n),
-		chunks:     make([]int64, n),
-		switches:   make([]int64, n),
-		lag:        make([]int64, n),
 		invMult:    make([]float64, n),
 		rateChunks: make([]int64, n*nr),
 		rateLost:   make([]int64, n*nr),
@@ -180,9 +171,7 @@ func (f *fadeState) initRow(i int) {
 	src := &f.fadeSrc[i]
 	src.Reseed(fadeSeed(f.seed, i))
 	if f.rho > 0 {
-		h := src.RayleighCoeff(1)
-		f.h[i] = h
-		f.gainDB[i] = rateadapt.FadeGainDB(h)
+		f.h[i] = src.RayleighCoeff(1)
 	}
 	f.prevRate[i] = f.initRate
 }
@@ -301,14 +290,13 @@ func streak32(n int) int32 {
 }
 
 // advance steps the fading process one chunk-time. With rho = 0 the
-// channel is static (gainDB stays 0) and no randomness is consumed.
+// channel is static and no randomness is consumed.
 func (v *fadeView) advance() {
 	if v.rho == 0 {
 		return
 	}
 	f, i := v.f, v.i
 	f.h[i] = rateadapt.FadeStep(f.h[i], v.rho, v.fadeSrc)
-	f.gainDB[i] = rateadapt.FadeGainDB(f.h[i])
 }
 
 // beginFrame resets the per-frame accumulators before a MAC exchange.
@@ -321,12 +309,16 @@ func (v *fadeView) Chunk() bool {
 	v.advance()
 	ri := v.adapter.Rate()
 	f, i := v.f, v.i
+	ts := &v.t.stats[i]
 	if int32(ri) != f.prevRate[i] {
-		f.switches[i]++
+		ts.RateSwitches++
 		f.prevRate[i] = int32(ri)
 	}
 	r := v.rates[ri]
-	snr := f.meanSNR[i] + f.gainDB[i]
+	snr := ts.SNRdB // the fading mean
+	if v.rho > 0 {
+		snr += rateadapt.FadeGainDB(f.h[i])
+	}
 	p := rateadapt.ChunkLossProb(r, snr)
 	if v.extraP > 0 {
 		p += (1 - p) * v.extraP
@@ -336,7 +328,7 @@ func (v *fadeView) Chunk() bool {
 
 	v.frameChunks++
 	v.frameInvMult += 1 / r.Mult
-	f.chunks[i]++
+	ts.AdaptChunks++
 	f.invMult[i] += 1 / r.Mult
 	f.rateChunks[i*f.nr+ri]++
 	if lostChunk {
@@ -344,11 +336,11 @@ func (v *fadeView) Chunk() bool {
 		v.frameLost++
 	}
 	if ri != f.oracleRate(snr) {
-		f.lag[i]++
+		ts.AdaptLagChunks++
 	}
 
 	fb := !lostChunk
-	if ber := v.t.fbBER[i]; f.fdFB && ber > 0 && v.fadeSrc.Bool(ber) {
+	if ber := ts.FeedbackBER; f.fdFB && ber > 0 && v.fadeSrc.Bool(ber) {
 		fb = !fb
 	}
 	v.adapter.OnChunk(fb)

@@ -32,9 +32,11 @@ func shardScenarios(t *testing.T) []Scenario {
 	// Above one tag shard, so every tag-range phase (the ALOHA serve
 	// phase included) splits across workers: outaged readers whose tags
 	// contend with no open cell, interference bursts and cubic parking
-	// (outage-retail), a plain multi-cell run (mall-cells), and TDM with
+	// (outage-retail), a plain multi-cell run (mall-cells), the exact
+	// million engine with fd adaptation under mobility, whose per-tag
+	// counters accumulate straight into TagStats (million), and TDM with
 	// ARF under mobility (tdm-mobile-adapt).
-	for _, name := range []string{"outage-retail", "mall-cells"} {
+	for _, name := range []string{"outage-retail", "mall-cells", "million"} {
 		sc, err := Preset(name)
 		if err != nil {
 			t.Fatal(err)

@@ -129,6 +129,13 @@ func (s *Source) RicianCoeff(power, k float64) complex128 {
 // Poisson returns a Poisson draw with the given mean (Knuth's algorithm
 // for small means, normal approximation above 30).
 func (s *Source) Poisson(mean float64) int {
+	return s.PoissonL(mean, math.Exp(-mean))
+}
+
+// PoissonL is Poisson with Knuth's threshold l = math.Exp(-mean)
+// computed by the caller, for loops that draw many times at one mean.
+// Given that l, it draws exactly what Poisson(mean) draws.
+func (s *Source) PoissonL(mean, l float64) int {
 	if mean <= 0 {
 		return 0
 	}
@@ -139,7 +146,6 @@ func (s *Source) Poisson(mean float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-mean)
 	k := 0
 	p := 1.0
 	for {

@@ -144,6 +144,23 @@ func TestPoissonMean(t *testing.T) {
 	}
 }
 
+// PoissonL with l = math.Exp(-mean) draws what Poisson draws, on every
+// branch: non-positive means, Knuth's loop and the normal approximation.
+func TestPoissonLMatchesPoisson(t *testing.T) {
+	for _, mean := range []float64{-1, 0, 1e-3, 0.5, 3, 29.9, 30, 31, 50} {
+		a, b := New(41), New(41)
+		l := math.Exp(-mean)
+		for i := 0; i < 1000; i++ {
+			if x, y := a.Poisson(mean), b.PoissonL(mean, l); x != y {
+				t.Fatalf("mean %g draw %d: Poisson %d, PoissonL %d", mean, i, x, y)
+			}
+		}
+		if *a != *b {
+			t.Fatalf("mean %g: streams diverged", mean)
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	s := New(37)
 	const n = 100000
