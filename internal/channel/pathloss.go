@@ -14,6 +14,8 @@ package channel
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/vecmath"
 )
 
 // SpeedOfLight in metres per second.
@@ -106,14 +108,12 @@ func ratio(d, min, d0 float64) float64 {
 // GainsInto sets dst[k] = l.Gain(d[k]) for every k, bit for bit; dst
 // must be at least as long as d. It performs each element's Gain
 // operations in the same order, but pass by pass over the whole batch:
-// every Log, then every Exp, then the integer-power products. A scalar
-// Gain is one dependent Log->Exp chain, so a loop of them leaves the
-// CPU waiting on latency; staged, the batch's independent chains
-// overlap. A ratio outside powPathLoss's fast domain falls back to it
-// element by element, and an exponent outside [1, 8] falls back to
-// Gain.
+// every Log, then every Exp (both through the vecmath kernels, four
+// lanes at a time), then the integer-power products. A ratio outside
+// powPathLoss's fast domain falls back to it element by element, and
+// an exponent outside [1, 8] falls back to Gain.
 func (l LogDistance) GainsInto(dst, d []float64) {
-	min, d0, n := l.params()
+	minD, d0, n := l.params()
 	dst = dst[:len(d)]
 	if !powFast(n) {
 		for k, dk := range d {
@@ -124,10 +124,22 @@ func (l LogDistance) GainsInto(dst, d []float64) {
 	yi, yf := powSplit(n)
 	if yf != 0 {
 		for k, dk := range d {
-			dst[k] = math.Log(ratio(dk, min, d0))
+			dst[k] = ratio(dk, minD, d0)
+		}
+		for k := 0; k < len(dst); {
+			k += vecmath.Log(dst[k:], dst[k:])
+			for end := min(k+4, len(dst)); k < end; k++ {
+				dst[k] = math.Log(dst[k])
+			}
 		}
 		for k, lx := range dst {
-			dst[k] = math.Exp(yf * lx)
+			dst[k] = yf * lx
+		}
+		for k := 0; k < len(dst); {
+			k += vecmath.Exp(dst[k:], dst[k:])
+			for end := min(k+4, len(dst)); k < end; k++ {
+				dst[k] = math.Exp(dst[k])
+			}
 		}
 	} else {
 		for k := range dst {
@@ -137,7 +149,7 @@ func (l LogDistance) GainsInto(dst, d []float64) {
 	// The ratios are cheap to recompute; the clamp and the division
 	// are exact.
 	for k, dk := range d {
-		x := ratio(dk, min, d0)
+		x := ratio(dk, minD, d0)
 		if x >= 0x1p-60 && x <= 0x1p60 {
 			dst[k] = l.RefGain * mulPow(dst[k], x, yi)
 		} else {

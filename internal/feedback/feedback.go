@@ -15,6 +15,8 @@ package feedback
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/vecmath"
 )
 
 // Code selects the feedback line code.
@@ -119,14 +121,23 @@ func Normalize(rxEnv, txEnv []float64, floor float64, dst []float64) []float64 {
 	if floor <= 0 {
 		floor = 1e-9
 	}
+	// vecmath.Div divides four samples at a time up to a group holding a
+	// sample below the floor; that group (or the short tail) is finished
+	// here, holding the last normalised value.
 	prev := 0.0
-	for i := range rxEnv {
-		if txEnv[i] < floor {
-			dst[i] = prev
-			continue
+	for i := 0; i < len(rxEnv); {
+		if n := vecmath.Div(dst[i:], rxEnv[i:], txEnv[i:], floor); n > 0 {
+			i += n
+			prev = dst[i-1]
 		}
-		dst[i] = rxEnv[i] / txEnv[i]
-		prev = dst[i]
+		for end := min(i+4, len(rxEnv)); i < end; i++ {
+			if txEnv[i] < floor {
+				dst[i] = prev
+				continue
+			}
+			dst[i] = rxEnv[i] / txEnv[i]
+			prev = dst[i]
+		}
 	}
 	return dst
 }

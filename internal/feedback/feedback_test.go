@@ -275,3 +275,49 @@ func TestStatesDecodeRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNormalizeMatchesScalar pins Normalize to the sample-by-sample
+// hold rule bit for bit, with sub-floor runs of every length at every
+// position of buffers up to 21 samples, in place as well.
+func TestNormalizeMatchesScalar(t *testing.T) {
+	const floor = 0.5
+	scalar := func(rx, tx []float64) []float64 {
+		out := make([]float64, len(rx))
+		prev := 0.0
+		for i := range rx {
+			if tx[i] < floor {
+				out[i] = prev
+				continue
+			}
+			out[i] = rx[i] / tx[i]
+			prev = out[i]
+		}
+		return out
+	}
+	for n := 0; n <= 21; n++ {
+		for pos := range n + 1 {
+			for run := 0; pos+run <= n && run <= 6; run++ {
+				rx, tx := make([]float64, n), make([]float64, n)
+				for i := range rx {
+					rx[i], tx[i] = 0.3+0.11*float64(i), 0.9+0.07*float64(i%4)
+				}
+				for i := pos; i < pos+run; i++ {
+					tx[i] = 0.1
+				}
+				want := scalar(rx, tx)
+				for _, inPlace := range []bool{false, true} {
+					got := Normalize(rx, tx, floor, nil)
+					if inPlace {
+						buf := append([]float64(nil), rx...)
+						got = Normalize(buf, tx, floor, buf[:0])
+					}
+					for i := range want {
+						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+							t.Fatalf("n=%d run %d at %d inPlace=%v: [%d] = %v, want %v", n, run, pos, inPlace, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}

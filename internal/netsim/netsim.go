@@ -66,6 +66,7 @@ import (
 	"repro/internal/mac"
 	"repro/internal/rateadapt"
 	"repro/internal/simrand"
+	"repro/internal/vecmath"
 )
 
 // tagState is the engine's per-tag state as parallel slices (struct of
@@ -1006,9 +1007,9 @@ func (e *engine) initShard(w *netWorker, lo, hi int) {
 // then every path gain, then association and the noise floor, then
 // each transcendental output column. Each tag's value still comes from
 // the same operations in the same order as a one-tag-at-a-time loop;
-// staging only lets the CPU overlap the independent Hypot, Log and Exp
-// chains of different tags and readers instead of waiting out one
-// chain at a time.
+// staging lets the Hypot, Log and Exp passes run through the vecmath
+// kernels four lanes at a time, while Erfc (in ManchesterBER) stays
+// scalar.
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1029,10 +1030,18 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 		nb := min(w.deriveBlock, hi-b0)
 		dist, gain := w.dist[:nb*R], w.gain[:nb*R]
 		bestG, noiseW, snrDB := w.bestG[:nb], w.noiseW[:nb], w.snrDB[:nb]
+		// Offsets first (x in dist, y in gain), then every distance
+		// through the Hypot kernel in place.
 		for j := range nb {
 			p := t.pos[b0+j]
 			for r, rp := range e.readers {
-				dist[j*R+r] = math.Hypot(p.X-rp.X, p.Y-rp.Y)
+				dist[j*R+r], gain[j*R+r] = p.X-rp.X, p.Y-rp.Y
+			}
+		}
+		for k := 0; k < len(dist); {
+			k += vecmath.Hypot(dist[k:], dist[k:], gain[k:])
+			for end := min(k+4, len(dist)); k < end; k++ {
+				dist[k] = math.Hypot(dist[k], gain[k])
 			}
 		}
 		e.pl.GainsInto(gain, dist)
@@ -1063,14 +1072,24 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 			noiseW[j] = sc.NoiseW + e.couplingW*(sumW-carrierW)
 			snrDB[j] = carrierW / noiseW[j] // linear; in dB after the next pass
 		}
-		for j, snr := range snrDB {
-			snrDB[j] = 10 * math.Log10(snr)
+		// 10*Log10(snr), as math.Log10 computes it: Log(snr) * (1/Ln10).
+		for j := 0; j < nb; {
+			j += vecmath.Log(snrDB[j:], snrDB[j:])
+			for end := min(j+4, nb); j < end; j++ {
+				snrDB[j] = math.Log(snrDB[j])
+			}
+		}
+		for j, l := range snrDB {
+			snrDB[j] = 10 * (l * (1 / math.Ln10))
 		}
 		// Forward link: SNR at the tag sets the chunk-loss cliff exactly
-		// as the rate-adaptation channel model does.
+		// as the rate-adaptation channel model does. The gains are spent,
+		// so their scratch holds the batch.
 		stats := t.stats[b0 : b0+nb]
-		for j, snr := range snrDB {
-			stats[j].ChunkLossProb = rateadapt.ChunkLossProb(e.rate, snr)
+		lossP := gain[:nb]
+		rateadapt.ChunkLossProbs(e.rate, lossP, snrDB)
+		for j, p := range lossP {
+			stats[j].ChunkLossProb = p
 		}
 		// Reverse link: the backscattered feedback rides a round-trip
 		// channel; its BER follows the Manchester decoder prediction with

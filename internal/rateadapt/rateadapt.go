@@ -16,6 +16,7 @@ import (
 	"math/cmplx"
 
 	"repro/internal/simrand"
+	"repro/internal/vecmath"
 )
 
 // RateSpec describes one rate-table entry. The JSON tags let scenario
@@ -45,6 +46,25 @@ var DefaultRates = []RateSpec{
 // coded chunks.
 func ChunkLossProb(r RateSpec, snrDB float64) float64 {
 	return 1 / (1 + math.Exp((snrDB-r.ReqSNRdB)/0.5))
+}
+
+// ChunkLossProbs sets dst[k] = ChunkLossProb(r, snrDB[k]) for every k,
+// bit for bit, taking the Exp four lanes at a time through vecmath;
+// dst must be at least as long as snrDB and may be snrDB itself.
+func ChunkLossProbs(r RateSpec, dst, snrDB []float64) {
+	dst = dst[:len(snrDB)]
+	for k, snr := range snrDB {
+		dst[k] = (snr - r.ReqSNRdB) / 0.5
+	}
+	for k := 0; k < len(dst); {
+		k += vecmath.Exp(dst[k:], dst[k:])
+		for end := min(k+4, len(dst)); k < end; k++ {
+			dst[k] = math.Exp(dst[k])
+		}
+	}
+	for k, e := range dst {
+		dst[k] = 1 / (1 + e)
+	}
 }
 
 // FadeStep advances a unit-mean-power Gauss-Markov fading coefficient

@@ -7,6 +7,30 @@ import (
 	"repro/internal/simrand"
 )
 
+// TestChunkLossProbsMatchScalar pins the batch form to ChunkLossProb
+// bit for bit over every tail length, including SNRs whose Exp
+// overflows or underflows and non-finite ones.
+func TestChunkLossProbsMatchScalar(t *testing.T) {
+	r := RateSpec{ReqSNRdB: 6}
+	var snr []float64
+	for s := -400.0; s <= 400; s += 0.37 {
+		snr = append(snr, s)
+	}
+	snr = append(snr, math.Inf(1), math.Inf(-1), math.NaN(), 360.89, 361, -350, -377.5)
+	for n := range 9 {
+		for k := 0; k < len(snr); k += n + 1 {
+			in := snr[k:min(k+n+1, len(snr))]
+			got := make([]float64, len(in))
+			ChunkLossProbs(r, got, in)
+			for i, s := range in {
+				if want := ChunkLossProb(r, s); math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("snr %v: ChunkLossProbs %v, ChunkLossProb %v", s, got[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestChunkLossProbShape(t *testing.T) {
 	r := RateSpec{ReqSNRdB: 8}
 	if got := ChunkLossProb(r, 8); math.Abs(got-0.5) > 1e-9 {

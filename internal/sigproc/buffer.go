@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+
+	"repro/internal/vecmath"
 )
 
 // IQ is a buffer of complex baseband samples.
@@ -135,20 +137,24 @@ func (x IQ) Fill(v complex128) IQ {
 }
 
 // Envelope writes |x[i]| into dst and returns it. If dst is nil or too
-// short a new slice is allocated. Purely real samples (a transmit
-// waveform before any channel) take a branch that skips the Hypot call;
-// math.Hypot(re, 0) is exactly math.Abs(re), so the result is bit
-// identical either way.
+// short a new slice is allocated. The vecmath.Abs kernel takes four
+// samples at a time; a group it leaves (one with an infinite or NaN
+// part, or the short tail) is finished here. Purely real samples (a transmit
+// waveform before any channel) take math.Abs there: for a finite part
+// math.Hypot(re, 0) is exactly math.Abs(re), so the kernel agrees.
 func (x IQ) Envelope(dst []float64) []float64 {
 	if cap(dst) < len(x) {
 		dst = make([]float64, len(x))
 	}
 	dst = dst[:len(x)]
-	for i, v := range x {
-		if imag(v) == 0 {
-			dst[i] = math.Abs(real(v))
-		} else {
-			dst[i] = cmplx.Abs(v)
+	for i := 0; i < len(x); {
+		i += vecmath.Abs(dst[i:], x[i:])
+		for end := min(i+4, len(x)); i < end; i++ {
+			if v := x[i]; imag(v) == 0 {
+				dst[i] = math.Abs(real(v))
+			} else {
+				dst[i] = cmplx.Abs(v)
+			}
 		}
 	}
 	return dst

@@ -215,3 +215,34 @@ func TestEnvelopeRealFastPathBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestEnvelopeMatchesScalar pins Envelope to the per-sample rule
+// (math.Abs for a zero imaginary part, cmplx.Abs otherwise) bit for
+// bit, with zeros, purely real samples and non-finite parts at every
+// position of buffers of every length up to 19.
+func TestEnvelopeMatchesScalar(t *testing.T) {
+	nan := math.Float64frombits(0x7FF8000000000123)
+	odd := []complex128{0, complex(-3, 0), complex(0, -2), complex(nan, 0), complex(1, math.Inf(-1)),
+		complex(math.NaN(), 1), complex(-0.0, -0.0), complex(5e-324, 0)}
+	for n := 0; n <= 19; n++ {
+		for _, o := range odd {
+			for pos := range n {
+				x := make(IQ, n)
+				for i := range x {
+					x[i] = complex(float64(i)-7.5, 0.25*float64(i%5))
+				}
+				x[pos] = o
+				env := x.Envelope(nil)
+				for i, v := range x {
+					want := cmplx.Abs(v)
+					if imag(v) == 0 {
+						want = math.Abs(real(v))
+					}
+					if math.Float64bits(env[i]) != math.Float64bits(want) {
+						t.Fatalf("n=%d %v at %d: Envelope[%d] = %v, want %v", n, o, pos, i, env[i], want)
+					}
+				}
+			}
+		}
+	}
+}
