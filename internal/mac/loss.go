@@ -9,6 +9,16 @@
 // Airtime is measured in BYTES ON AIR, which is proportional to time at
 // a fixed rate and lets the arithmetic stay exact. Elapsed time
 // additionally counts idle/backoff periods.
+//
+// Each protocol is written once, as a resumable per-frame exchange
+// machine (Exchange): Begin opens a frame and returns a Need, and each
+// Chunk call answers the chunk that Need asked for. A Need asks for
+// one chunk outcome, or first for an idle backoff of n chunk-times,
+// or says the frame is done. The machine accumulates into a Result
+// the caller owns. Run drives that machine through a Loss process.
+// An engine that serves many frames at once (internal/netsim) keeps
+// one machine per frame in flight and computes the chunk outcomes for
+// all of them together.
 package mac
 
 import (
@@ -25,28 +35,27 @@ type Loss interface {
 	Idle(n int)
 }
 
-// IIDLoss loses each chunk independently with probability P, drawing
-// from Src. An engine that stores its streams inline may repoint Src
-// at the stream of whichever entity is transmitting.
+// IIDLoss loses each chunk independently with probability p, drawing
+// from src.
 type IIDLoss struct {
-	P   float64
-	Src *simrand.Source
+	p   float64
+	src *simrand.Source
 }
 
 // NewIIDLoss returns an iid chunk loss process.
 func NewIIDLoss(p float64, src *simrand.Source) *IIDLoss {
-	return &IIDLoss{P: p, Src: src.Split()}
+	return &IIDLoss{p: p, src: src.Split()}
 }
 
 // NewIIDLossUsing returns an iid chunk loss process drawing directly
 // from src, without splitting a child off it. Kept for perfbench's MAC
-// probe, which replays a fixed stream; netsim sets Src itself.
+// probe, which replays a fixed stream.
 func NewIIDLossUsing(p float64, src *simrand.Source) *IIDLoss {
-	return &IIDLoss{P: p, Src: src}
+	return &IIDLoss{p: p, src: src}
 }
 
 // Chunk implements Loss.
-func (l *IIDLoss) Chunk() bool { return l.Src.Bool(l.P) }
+func (l *IIDLoss) Chunk() bool { return l.src.Bool(l.p) }
 
 // Idle implements Loss (memoryless: nothing to advance).
 func (l *IIDLoss) Idle(int) {}

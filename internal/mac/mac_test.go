@@ -269,3 +269,99 @@ func TestParamsAirtimeHelpers(t *testing.T) {
 		t.Fatalf("helper mutated params: %+v", q)
 	}
 }
+
+// TestExchangesMatchRun drives every protocol's Exchange by hand, three
+// frames in flight at once, each exchange answered chunk by chunk from
+// its own loss process in round-robin, and checks each one's Result
+// against Run over the same loss process. This is how an engine
+// interleaves many tags' frames, so no protocol may keep state outside
+// its Exchange or depend on when its requests are answered. The loss
+// models are fig4's iid, fig5's interference bursts and the Gilbert
+// chain, with and without early termination and feedback errors.
+func TestExchangesMatchRun(t *testing.T) {
+	const frames, inFlight = 40, 3
+	losses := map[string]func(seed uint64) Loss{
+		"iid": func(seed uint64) Loss { return NewIIDLoss(0.1, simrand.New(seed)) },
+		"burst": func(seed uint64) Loss {
+			return NewBurstLoss(simrand.New(seed), 0.02, 20, 1, 0.005)
+		},
+		"gilbert": func(seed uint64) Loss {
+			return NewGilbertLoss(simrand.New(seed), 0.01, 0.1, 0.001, 0.8)
+		},
+	}
+	paramSets := []Params{
+		{PayloadBytes: 1500, ChunkBytes: 64},
+		{PayloadBytes: 1500, ChunkBytes: 64, AbortThreshold: 2, BackoffChunks: 24},
+		{PayloadBytes: 640, ChunkBytes: 32, AbortThreshold: 1, FeedbackBER: 0.05, MaxAttempts: 6},
+	}
+	type machine interface {
+		Protocol
+		Exchange
+	}
+	protocols := map[string]func(p Params, seed uint64) machine{
+		"stop-and-wait": func(p Params, _ uint64) machine { return &StopAndWait{P: p} },
+		"block-ack":     func(p Params, _ uint64) machine { return &BlockACK{P: p} },
+		"full-duplex":   func(p Params, seed uint64) machine { return &FullDuplex{P: p, Seed: seed} },
+	}
+	for lname, mkLoss := range losses {
+		for pname, mk := range protocols {
+			for pi, p := range paramSets {
+				var want, got [inFlight]Result
+				var xs [inFlight]machine
+				var ls [inFlight]Loss
+				var left [inFlight]int
+				var need [inFlight]Need
+				for k := range inFlight {
+					seed := uint64(100*pi + k + 1)
+					want[k] = mk(p, seed).Run(frames, mkLoss(seed))
+					xs[k], ls[k], left[k] = mk(p, seed), mkLoss(seed), frames
+					got[k].Protocol = xs[k].Name()
+					if fd, ok := xs[k].(*FullDuplex); ok {
+						fd.Reseed(seed)
+					}
+					need[k] = Need{Done: true}
+				}
+				for busy := inFlight; busy > 0; {
+					busy = 0
+					for k, x := range xs {
+						if need[k].Done {
+							if left[k] == 0 {
+								continue
+							}
+							left[k]--
+							need[k] = x.Begin(&got[k])
+						} else {
+							need[k] = x.Chunk(&got[k], ls[k].Chunk())
+						}
+						if need[k].Idle > 0 {
+							ls[k].Idle(need[k].Idle)
+						}
+						busy++
+					}
+				}
+				for k := range inFlight {
+					if got[k] != want[k] {
+						t.Errorf("%s/%s/params %d/frame set %d: by hand %+v, Run %+v",
+							lname, pname, pi, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkFullDuplexRun times one default-params full-duplex frame on
+// an iid loss process through Run: the exchange logic alone, the cost
+// perfbench's mac.fd_frame_us probe measures at the million preset's
+// dimensions.
+func BenchmarkFullDuplexRun(b *testing.B) {
+	fd := &FullDuplex{}
+	fd.Prime()
+	loss := NewIIDLossUsing(0.1, simrand.New(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		fd.Seed++
+		fd.Run(1, loss)
+	}
+}

@@ -59,11 +59,14 @@ func (p *Params) applyDefaults() {
 // NumChunks returns the chunks per frame.
 func (p Params) NumChunks() int {
 	p.applyDefaults()
-	return (p.PayloadBytes + p.ChunkBytes - 1) / p.ChunkBytes
+	return p.numChunks()
 }
 
+// numChunks returns the chunks per frame of defaulted Params.
+func (p *Params) numChunks() int { return (p.PayloadBytes + p.ChunkBytes - 1) / p.ChunkBytes }
+
 // chunkAir returns the airtime bytes of one chunk (payload + CRC).
-func (p Params) chunkAir() int { return p.ChunkBytes + 1 }
+func (p *Params) chunkAir() int { return p.ChunkBytes + 1 }
 
 // ChunkAirBytes returns the airtime bytes of one chunk (payload + CRC),
 // after defaults.
@@ -84,7 +87,7 @@ func (p Params) HeaderAirBytes() int {
 // burns when a collision goes undetected until the missing ACK.
 func (p Params) FrameAirBytes() int {
 	p.applyDefaults()
-	return p.HeaderBytes + p.NumChunks()*p.chunkAir()
+	return p.HeaderBytes + p.numChunks()*p.chunkAir()
 }
 
 // AckAirBytes returns the half-duplex acknowledgement airtime, after
@@ -178,6 +181,16 @@ func (r Result) DeliveryRate() float64 {
 	return float64(r.FramesDelivered) / float64(r.FramesSent)
 }
 
+// deliver books one delivered frame: its payload and its latency.
+func (r *Result) deliver(payloadBytes int, elapsed int64) {
+	r.FramesDelivered++
+	r.GoodputBytes += int64(payloadBytes)
+	r.LatencySumBytes += elapsed
+	if elapsed > r.LatencyMaxBytes {
+		r.LatencyMaxBytes = elapsed
+	}
+}
+
 // Protocol runs frames through a loss process and accumulates a Result.
 // Implementations may keep internal scratch between Run calls, and the
 // Loss processes they consume are themselves stateful — a Protocol
@@ -189,15 +202,69 @@ type Protocol interface {
 	Run(nFrames int, loss Loss) Result
 }
 
+// Need is what a frame exchange asks of its loss process next: first
+// let Idle chunk-times pass with nothing on air (an early-termination
+// backoff; usually 0), then report the fate of one more chunk, or stop
+// when Done is set (the frame is finished and booked).
+type Need struct {
+	Idle int
+	Done bool
+}
+
+var (
+	needChunk = Need{}
+	needDone  = Need{Done: true}
+)
+
+// Exchange is a protocol's frame exchange as a resumable machine. The
+// caller owns the loss process and the Result and answers one request
+// at a time: Begin opens a frame, and Chunk reports whether the chunk
+// the last Need asked for was lost; both book the frame's statistics
+// into res, which must be the same Result for the whole frame. Each
+// protocol's Run only feeds its Exchange from a Loss (see drive). An
+// engine that serves many frames at once keeps one Exchange per frame
+// in flight and batches the chunk outcomes across them: an exchange
+// draws nothing from the loss process itself, so interleaving several
+// changes no exchange's statistics.
+type Exchange interface {
+	Begin(res *Result) Need
+	Chunk(res *Result, lost bool) Need
+}
+
+// drive runs nFrames frames through loss: the loop every Run shares.
+// begin and chunk are the protocol's Begin and Chunk bound to the
+// Result being filled; closures rather than an Exchange, so that Result
+// can live on Run's stack.
+func drive(nFrames int, loss Loss, begin func() Need, chunk func(lost bool) Need) {
+	for range nFrames {
+		for nd := begin(); ; nd = chunk(loss.Chunk()) {
+			if nd.Idle > 0 {
+				loss.Idle(nd.Idle)
+			}
+			if nd.Done {
+				break
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------
 // Half-duplex stop-and-wait: transmit the whole frame, turn the link
 // around, wait for a frame-level ACK, retransmit the whole frame on
 // failure. What RFID-style backscatter links do today.
 // ---------------------------------------------------------------------
 
-// StopAndWait is the packet-level half-duplex baseline.
+// StopAndWait is the packet-level half-duplex baseline. It is also its
+// own Exchange: Begin fills P's unset fields with their defaults, and
+// the unexported fields are the frame in flight.
 type StopAndWait struct {
 	P Params
+
+	n            int
+	frameAir     int64
+	frameElapsed int64
+	attempt, c   int
+	ok           bool
 }
 
 // Name implements Protocol.
@@ -205,55 +272,64 @@ func (s *StopAndWait) Name() string { return "stop-and-wait" }
 
 // Run implements Protocol.
 func (s *StopAndWait) Run(nFrames int, loss Loss) Result {
-	p := s.P
-	p.applyDefaults()
 	res := Result{Protocol: s.Name()}
-	n := p.NumChunks()
-	frameAir := int64(p.HeaderBytes + n*p.chunkAir())
-	for f := 0; f < nFrames; f++ {
-		res.FramesSent++
-		var frameElapsed int64
-		delivered := false
-		for attempt := 0; attempt < p.MaxAttempts; attempt++ {
-			res.Attempts++
-			ok := true
-			for c := 0; c < n; c++ {
-				res.ChunkTx++
-				if attempt > 0 {
-					res.ChunkRetx++
-				}
-				if loss.Chunk() {
-					ok = false
-				}
-			}
-			// Half-duplex ACK exchange (assumed reliable but costly):
-			// the backscattered ACK occupies the channel too.
-			res.AirtimeBytes += frameAir + int64(p.AckBytes)
-			frameElapsed += frameAir
-			res.ElapsedBytes += frameAir + int64(p.AckBytes)
-			frameElapsed += int64(p.AckBytes)
-			res.WastedBytes += int64(p.AckBytes)
-			// The sender learns the frame's fate only after the whole
-			// frame plus the ACK turnaround.
-			res.FeedbackDelaySum += int64(n) // first chunk waited ~n chunk-times
-			res.FeedbackDelayCount++
-			if ok {
-				delivered = true
-				res.GoodputBytes += int64(p.PayloadBytes)
-				break
-			}
-			// Entire attempt wasted.
-			res.WastedBytes += frameAir
-		}
-		if delivered {
-			res.FramesDelivered++
-			res.LatencySumBytes += frameElapsed
-			if frameElapsed > res.LatencyMaxBytes {
-				res.LatencyMaxBytes = frameElapsed
-			}
-		}
-	}
+	drive(nFrames, loss, func() Need { return s.Begin(&res) },
+		func(lost bool) Need { return s.Chunk(&res, lost) })
 	return res
+}
+
+// Begin implements Exchange.
+func (s *StopAndWait) Begin(res *Result) Need {
+	s.P.applyDefaults()
+	s.n = s.P.numChunks()
+	s.frameAir = int64(s.P.HeaderBytes + s.n*s.P.chunkAir())
+	res.FramesSent++
+	s.frameElapsed = 0
+	s.attempt = 0
+	return s.open(res)
+}
+
+// open starts the next whole-frame attempt, or gives up after
+// MaxAttempts.
+func (s *StopAndWait) open(res *Result) Need {
+	if s.attempt >= s.P.MaxAttempts {
+		return needDone
+	}
+	res.Attempts++
+	s.c, s.ok = 0, true
+	return needChunk
+}
+
+// Chunk implements Exchange. Every chunk of an attempt is sent even
+// after one is lost: the sender learns nothing until the ACK.
+func (s *StopAndWait) Chunk(res *Result, lost bool) Need {
+	res.ChunkTx++
+	if s.attempt > 0 {
+		res.ChunkRetx++
+	}
+	if lost {
+		s.ok = false
+	}
+	if s.c++; s.c < s.n {
+		return needChunk
+	}
+	// Half-duplex ACK exchange (assumed reliable but costly): the
+	// backscattered ACK occupies the channel too, and the sender learns
+	// the frame's fate only after the whole frame plus the turnaround.
+	ack := int64(s.P.AckBytes)
+	res.AirtimeBytes += s.frameAir + ack
+	res.ElapsedBytes += s.frameAir + ack
+	s.frameElapsed += s.frameAir + ack
+	res.WastedBytes += ack
+	res.FeedbackDelaySum += int64(s.n) // first chunk waited ~n chunk-times
+	res.FeedbackDelayCount++
+	if s.ok {
+		res.deliver(s.P.PayloadBytes, s.frameElapsed)
+		return needDone
+	}
+	res.WastedBytes += s.frameAir // the entire attempt is wasted
+	s.attempt++
+	return s.open(res)
 }
 
 // ---------------------------------------------------------------------
@@ -263,9 +339,15 @@ func (s *StopAndWait) Run(nFrames int, loss Loss) Result {
 // end-of-frame round trip.
 // ---------------------------------------------------------------------
 
-// BlockACK is the selective-repeat half-duplex baseline.
+// BlockACK is the selective-repeat half-duplex baseline. It is also
+// its own Exchange: Begin fills P's unset fields with their defaults,
+// and the unexported fields are the frame in flight.
 type BlockACK struct {
 	P Params
+
+	frameElapsed    int64
+	attempt, c      int
+	pending, failed int
 }
 
 // Name implements Protocol.
@@ -273,50 +355,60 @@ func (s *BlockACK) Name() string { return "block-ack" }
 
 // Run implements Protocol.
 func (s *BlockACK) Run(nFrames int, loss Loss) Result {
-	p := s.P
-	p.applyDefaults()
 	res := Result{Protocol: s.Name()}
-	n := p.NumChunks()
-	for f := 0; f < nFrames; f++ {
-		res.FramesSent++
-		pending := n
-		var frameElapsed int64
-		delivered := false
-		for attempt := 0; attempt < p.MaxAttempts && pending > 0; attempt++ {
-			res.Attempts++
-			attemptAir := int64(p.HeaderBytes + pending*p.chunkAir())
-			stillBad := 0
-			for c := 0; c < pending; c++ {
-				res.ChunkTx++
-				if attempt > 0 {
-					res.ChunkRetx++
-				}
-				if loss.Chunk() {
-					stillBad++
-					res.WastedBytes += int64(p.chunkAir())
-				}
-			}
-			res.AirtimeBytes += attemptAir + int64(p.AckBytes)
-			res.ElapsedBytes += attemptAir + int64(p.AckBytes)
-			frameElapsed += attemptAir + int64(p.AckBytes)
-			res.WastedBytes += int64(p.AckBytes)
-			res.FeedbackDelaySum += int64(pending)
-			res.FeedbackDelayCount++
-			pending = stillBad
-		}
-		if pending == 0 {
-			delivered = true
-			res.GoodputBytes += int64(p.PayloadBytes)
-		}
-		if delivered {
-			res.FramesDelivered++
-			res.LatencySumBytes += frameElapsed
-			if frameElapsed > res.LatencyMaxBytes {
-				res.LatencyMaxBytes = frameElapsed
-			}
-		}
-	}
+	drive(nFrames, loss, func() Need { return s.Begin(&res) },
+		func(lost bool) Need { return s.Chunk(&res, lost) })
 	return res
+}
+
+// Begin implements Exchange.
+func (s *BlockACK) Begin(res *Result) Need {
+	s.P.applyDefaults()
+	res.FramesSent++
+	s.pending = s.P.numChunks()
+	s.frameElapsed = 0
+	s.attempt = 0
+	return s.open(res)
+}
+
+// open starts the next attempt over the still-missing chunks, or ends
+// the frame once none is missing or MaxAttempts are spent.
+func (s *BlockACK) open(res *Result) Need {
+	if s.attempt >= s.P.MaxAttempts || s.pending == 0 {
+		if s.pending == 0 {
+			res.deliver(s.P.PayloadBytes, s.frameElapsed)
+		}
+		return needDone
+	}
+	res.Attempts++
+	s.c, s.failed = 0, 0
+	return needChunk
+}
+
+// Chunk implements Exchange.
+func (s *BlockACK) Chunk(res *Result, lost bool) Need {
+	p := &s.P
+	res.ChunkTx++
+	if s.attempt > 0 {
+		res.ChunkRetx++
+	}
+	if lost {
+		s.failed++
+		res.WastedBytes += int64(p.chunkAir())
+	}
+	if s.c++; s.c < s.pending {
+		return needChunk
+	}
+	attemptAir := int64(p.HeaderBytes+s.pending*p.chunkAir()) + int64(p.AckBytes)
+	res.AirtimeBytes += attemptAir
+	res.ElapsedBytes += attemptAir
+	s.frameElapsed += attemptAir
+	res.WastedBytes += int64(p.AckBytes)
+	res.FeedbackDelaySum += int64(s.pending)
+	res.FeedbackDelayCount++
+	s.pending = s.failed
+	s.attempt++
+	return s.open(res)
 }
 
 // ---------------------------------------------------------------------
@@ -333,170 +425,194 @@ func (s *BlockACK) Run(nFrames int, loss Loss) Result {
 // instance with a new Seed reproduces exactly what a fresh instance
 // would: Run reseeds its internal source on every call. The scratch
 // makes an instance single-goroutine (see Protocol); construct one per
-// worker.
+// worker. It is also its own Exchange: Begin fills P's unset fields
+// with their defaults, and the feedback flips draw from the source
+// Reseed sets, which Begin leaves where the last frame did.
 type FullDuplex struct {
 	P    Params
 	Seed uint64
 
-	// Reused per-run scratch (see Run); never observable in results.
-	src       *simrand.Source
-	delivered []bool
-	believed  []bool
-	queue     []int
+	// Reused per-run scratch; never observable in results. chunk[i]
+	// holds chunk i's delivered (ground truth at the tag) and believed
+	// (the sender's view) bits.
+	src   simrand.Source
+	chunk []uint8
+
+	// The frame in flight. An attempt sends, in index order, every
+	// chunk the sender believed missing when it began; next is the one
+	// to send now. Sending a chunk changes only its own bits, so the
+	// chunks after next still show what the attempt began with.
+	frameElapsed   int64
+	attempts, next int
+	consecNACK     int
 }
 
 // Name implements Protocol.
 func (s *FullDuplex) Name() string { return "full-duplex" }
 
 // Prime preallocates the instance's internal scratch for the configured
-// Params so even the first Run call is allocation-free. Engines that
+// Params so even the first frame is allocation-free. Engines that
 // keep one instance per worker call it at setup; without it, which
 // worker pays the first-frame allocation would depend on scheduling,
 // breaking their allocation accounting (never their results).
 func (s *FullDuplex) Prime() {
-	p := s.P
-	p.applyDefaults()
-	if s.src == nil {
-		s.src = simrand.New(s.Seed ^ 0xfdb5)
+	s.scratch(s.P.NumChunks())
+}
+
+// The bits of a FullDuplex chunk entry.
+const (
+	delivered uint8 = 1 << iota
+	believed
+)
+
+func (s *FullDuplex) scratch(n int) {
+	if cap(s.chunk) < n {
+		s.chunk = make([]uint8, n)
 	}
-	n := p.NumChunks()
-	if cap(s.delivered) < n {
-		s.delivered = make([]bool, n)
-		s.believed = make([]bool, n)
-	}
-	if cap(s.queue) < n {
-		s.queue = make([]int, 0, n)
-	}
+	s.chunk = s.chunk[:n]
+}
+
+// Reseed sets Seed and restarts the feedback-flip source from it, as
+// Run does on every call.
+func (s *FullDuplex) Reseed(seed uint64) {
+	s.Seed = seed
+	s.src.Reseed(seed ^ 0xfdb5)
 }
 
 // Run implements Protocol.
 func (s *FullDuplex) Run(nFrames int, loss Loss) Result {
-	p := s.P
-	p.applyDefaults()
+	s.Reseed(s.Seed)
 	res := Result{Protocol: s.Name()}
-	if s.src == nil {
-		s.src = simrand.New(s.Seed ^ 0xfdb5)
-	} else {
-		s.src.Reseed(s.Seed ^ 0xfdb5)
-	}
-	src := s.src
-	n := p.NumChunks()
-	if cap(s.delivered) < n {
-		s.delivered = make([]bool, n)
-		s.believed = make([]bool, n)
-	}
-	chunkAir := int64(p.chunkAir())
-	for f := 0; f < nFrames; f++ {
-		res.FramesSent++
-		// delivered[i]: ground truth at the tag; believed[i]: sender's view.
-		delivered := s.delivered[:n]
-		believed := s.believed[:n]
-		for i := range delivered {
-			delivered[i] = false
-			believed[i] = false
-		}
-		var frameElapsed int64
-		frameDone := false
-		attempts := 0
-		for !frameDone && attempts < p.MaxAttempts {
-			attempts++
-			res.Attempts++
-			// Build the queue of chunks the sender believes missing.
-			queue := s.queue[:0]
-			for i := 0; i < n; i++ {
-				if !believed[i] {
-					queue = append(queue, i)
-				}
-			}
-			s.queue = queue[:0]
-			if len(queue) == 0 {
-				// Sender believes done but the tag disagrees (false
-				// ACKs): the end-of-frame trailer check fails and the
-				// truth bitmap resyncs the sender (costs one header).
-				for i := 0; i < n; i++ {
-					believed[i] = delivered[i]
-				}
-				res.AirtimeBytes += int64(p.HeaderBytes)
-				res.ElapsedBytes += int64(p.HeaderBytes)
-				frameElapsed += int64(p.HeaderBytes)
-				continue
-			}
-			res.AirtimeBytes += int64(p.HeaderBytes)
-			res.ElapsedBytes += int64(p.HeaderBytes)
-			frameElapsed += int64(p.HeaderBytes)
-			consecNACK := 0
-			for qi := 0; qi < len(queue); qi++ {
-				c := queue[qi]
-				res.ChunkTx++
-				if delivered[c] {
-					res.ChunkRetx++ // needless resend (false NACK earlier)
-				}
-				lost := loss.Chunk()
-				ok := delivered[c] || !lost
-				res.AirtimeBytes += chunkAir
-				res.ElapsedBytes += chunkAir
-				frameElapsed += chunkAir
-				if !ok {
-					res.WastedBytes += chunkAir
-				}
-				// Feedback arrives one chunk-time later, concurrent with
-				// the next chunk: zero airtime, delay 1 chunk.
-				res.FeedbackDelaySum++
-				res.FeedbackDelayCount++
-				bit := ok
-				if p.FeedbackBER > 0 && src.Bool(p.FeedbackBER) {
-					bit = !bit
-					if ok {
-						res.FalseNACK++
-					} else {
-						res.FalseACK++
-					}
-				}
-				if ok {
-					delivered[c] = true
-				}
-				if bit {
-					believed[c] = true
-					consecNACK = 0
-				} else {
-					believed[c] = false
-					consecNACK++
-					if p.AbortThreshold > 0 && consecNACK >= p.AbortThreshold {
-						// Early termination: the channel looks dead;
-						// stop burning airtime and back off.
-						res.Aborts++
-						loss.Idle(p.BackoffChunks)
-						res.ElapsedBytes += int64(p.BackoffChunks) * chunkAir
-						frameElapsed += int64(p.BackoffChunks) * chunkAir
-						break
-					}
-				}
-			}
-			frameDone = true
-			for i := 0; i < n; i++ {
-				if !delivered[i] || !believed[i] {
-					frameDone = false
-					break
-				}
-			}
-		}
-		allDelivered := true
-		for i := 0; i < n; i++ {
-			if !delivered[i] {
-				allDelivered = false
-				break
-			}
-		}
-		if allDelivered {
-			res.FramesDelivered++
-			res.GoodputBytes += int64(p.PayloadBytes)
-			res.LatencySumBytes += frameElapsed
-			if frameElapsed > res.LatencyMaxBytes {
-				res.LatencyMaxBytes = frameElapsed
-			}
-		}
-	}
+	drive(nFrames, loss, func() Need { return s.Begin(&res) },
+		func(lost bool) Need { return s.Chunk(&res, lost) })
 	return res
+}
+
+// Begin implements Exchange.
+func (s *FullDuplex) Begin(res *Result) Need {
+	s.P.applyDefaults()
+	s.scratch(s.P.numChunks())
+	res.FramesSent++
+	clear(s.chunk)
+	s.frameElapsed = 0
+	s.attempts = 0
+	return s.open(res)
+}
+
+// open starts the next attempt over the chunks the sender believes
+// missing, or ends the frame once MaxAttempts are spent.
+func (s *FullDuplex) open(res *Result) Need {
+	p := &s.P
+	for s.attempts < p.MaxAttempts {
+		s.attempts++
+		res.Attempts++
+		res.AirtimeBytes += int64(p.HeaderBytes)
+		res.ElapsedBytes += int64(p.HeaderBytes)
+		s.frameElapsed += int64(p.HeaderBytes)
+		if s.next = s.missing(0); s.next < len(s.chunk) {
+			s.consecNACK = 0
+			return needChunk
+		}
+		// Sender believes done but the tag disagrees (false ACKs): the
+		// end-of-frame trailer check fails and the truth bitmap
+		// resyncs the sender (costs the header just booked).
+		for i, c := range s.chunk {
+			if c&delivered != 0 {
+				s.chunk[i] = delivered | believed
+			} else {
+				s.chunk[i] = 0
+			}
+		}
+	}
+	return s.finish(res)
+}
+
+// Chunk implements Exchange.
+func (s *FullDuplex) Chunk(res *Result, lost bool) Need {
+	p := &s.P
+	c := s.next
+	res.ChunkTx++
+	was := s.chunk[c]&delivered != 0
+	if was {
+		res.ChunkRetx++ // needless resend (false NACK earlier)
+	}
+	ok := was || !lost
+	chunkAir := int64(p.chunkAir())
+	res.AirtimeBytes += chunkAir
+	res.ElapsedBytes += chunkAir
+	s.frameElapsed += chunkAir
+	if !ok {
+		res.WastedBytes += chunkAir
+	}
+	// Feedback arrives one chunk-time later, concurrent with the next
+	// chunk: zero airtime, delay 1 chunk.
+	res.FeedbackDelaySum++
+	res.FeedbackDelayCount++
+	bit := ok
+	if p.FeedbackBER > 0 && s.src.Bool(p.FeedbackBER) {
+		bit = !bit
+		if ok {
+			res.FalseNACK++
+		} else {
+			res.FalseACK++
+		}
+	}
+	st := s.chunk[c] &^ believed
+	if ok {
+		st |= delivered
+	}
+	if bit {
+		st |= believed
+	}
+	s.chunk[c] = st
+	if bit {
+		s.consecNACK = 0
+	} else if s.consecNACK++; p.AbortThreshold > 0 && s.consecNACK >= p.AbortThreshold {
+		// Early termination: the channel looks dead; stop burning
+		// airtime and back off before whatever comes next.
+		res.Aborts++
+		backoff := int64(p.BackoffChunks) * chunkAir
+		res.ElapsedBytes += backoff
+		s.frameElapsed += backoff
+		nd := s.endAttempt(res)
+		nd.Idle = p.BackoffChunks
+		return nd
+	}
+	if s.next = s.missing(c + 1); s.next < len(s.chunk) {
+		return needChunk
+	}
+	return s.endAttempt(res)
+}
+
+// missing returns the first chunk from i on that the sender believes
+// missing, or the chunk count if there is none.
+func (s *FullDuplex) missing(i int) int {
+	for i < len(s.chunk) && s.chunk[i]&believed != 0 {
+		i++
+	}
+	return i
+}
+
+// endAttempt ends the frame once the sender and the tag agree that
+// every chunk arrived, and opens the next attempt otherwise.
+func (s *FullDuplex) endAttempt(res *Result) Need {
+	for _, c := range s.chunk {
+		if c != delivered|believed {
+			return s.open(res)
+		}
+	}
+	return s.finish(res)
+}
+
+// finish books the frame if every chunk reached the tag.
+func (s *FullDuplex) finish(res *Result) Need {
+	for _, c := range s.chunk {
+		if c&delivered == 0 {
+			return needDone
+		}
+	}
+	res.deliver(s.P.PayloadBytes, s.frameElapsed)
+	return needDone
 }
 
 // String renders a compact summary.

@@ -13,8 +13,9 @@ import (
 //
 // The functions on this path carry //fdlint:noalloc annotations (the
 // round phases openRound, arrive, drawSlots, reduceWindows, settle and
-// census; runFrame, runPolicyCell, serveSlot and the shard bodies,
-// serveShard among them; streamer.observe): `go run ./cmd/fdlint ./...` names the offending
+// census; runPolicyCell, the serve lanes (serve, bindLane, stepLanes,
+// finishFrame) and the shard bodies, serveShard among them;
+// streamer.observe): `go run ./cmd/fdlint ./...` names the offending
 // construct at the line that would make this test fail.
 func TestRoundLoopAllocFree(t *testing.T) {
 	adapt := Scenario{

@@ -45,8 +45,8 @@ package netsim
 // mean-channel bound: chunks go out at the oracle rate for the tag's
 // current MEAN SNR (small-scale fading averaged out), chunk loss uses
 // that rate's cliff at the mean SNR, and chunk airtime scales by the
-// rate multiplier exactly as the exact engine's frameExtraBytes
-// correction does. Adaptation counters accrue their expected values so
+// rate multiplier exactly as the exact engine's airtime correction
+// (endLane) does. Adaptation counters accrue their expected values so
 // the rate-mix report stays meaningful.
 
 import (
@@ -60,8 +60,8 @@ import (
 // is far below one chunk; later attempts would add zero after rounding.
 const pendEps = 1e-9
 
-// analyticFrame replaces runFrame (plus the fade airtime correction) in
-// analytic mode. Stream discipline matches the exact path: exactly one
+// analyticFrame replaces a lane's exchange (plus the fade airtime
+// correction) in analytic mode. Stream discipline matches the exact path: exactly one
 // draw from the tag's loss stream per singleton slot.
 func (e *engine) analyticFrame(i int32) mac.Result {
 	t := &e.tags

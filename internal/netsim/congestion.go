@@ -168,8 +168,8 @@ func (c *congState) rtoEff(i int) float64 {
 
 // backoffDelay draws tag i's next retx re-admission delay: the
 // backed-off RTO stretched by up to JitterFrac, with the jitter drawn
-// from the tag's existing seeded protocol stream (the one runFrame's
-// full-duplex seed draw uses), so delays desynchronise
+// from the tag's existing seeded protocol stream (the one each served
+// frame's full-duplex seed draw uses), so delays desynchronise
 // deterministically.
 //
 //fdlint:parallel
@@ -491,10 +491,10 @@ func (e *engine) runPolicyCell(w *netWorker, ci int) {
 		gm[pos] = m
 	}
 
-	sa := &w.serve[ci]
 	for _, i := range gi {
-		e.serveSlot(w, sa, i)
+		e.serve(w, ci, i)
 	}
+	e.flushLanes(w)
 	granted, idle := int64(len(gi)), int64(cw-len(gi))
 	e.rstats[r].SingletonSlots += granted
 	e.cellAcc[ci] = cellAcc{singletonSlots: granted, idleSlots: idle, windowBytes: idle * e.chunkAir}

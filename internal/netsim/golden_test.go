@@ -60,7 +60,39 @@ func goldenScenarios(t *testing.T) []Scenario {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(out, tdmMobileAdaptScenario(), shelf)
+	out = append(out, tdmMobileAdaptScenario(), shelf)
+	return append(out, serveScenarios(t)...)
+}
+
+// serveScenarios are the serve configurations no preset runs: each MAC
+// protocol and adapter pairing the lanes stage differently, a static
+// channel under an adapter, grant-order service, an abort right after
+// the first NACK (an idle backoff mid-frame), and interference bursts
+// composed into a faded chunk loss.
+func serveScenarios(t *testing.T) []Scenario {
+	t.Helper()
+	preset := func(name, as string) Scenario {
+		sc, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Name = as
+		return sc
+	}
+	swARF := preset("fading-aisle", "serve-sw-arf")
+	swARF.Protocol = "stop-and-wait"
+	swARF.RateAdapt.Adapter = RateAdaptARF
+	baFD := preset("fading-aisle", "serve-ba-fd")
+	baFD.Protocol = "block-ack"
+	rho0 := preset("fading-aisle", "serve-fd-rho0")
+	rho0.RateAdapt.FadeRho = 0
+	fifo := preset("fading-aisle", "serve-fifo-fd")
+	fifo.Readers.Policy = PolicyFIFO
+	abort1 := preset("fading-aisle", "serve-abort1")
+	abort1.AbortThreshold = 1
+	outage := preset("outage-retail", "serve-outage-fd")
+	outage.RateAdapt = RateAdaptSpec{Adapter: RateAdaptFD, FadeRho: 0.9}
+	return []Scenario{swARF, baFD, rho0, fifo, abort1, outage}
 }
 
 var goldenDigests = map[string]string{
@@ -76,6 +108,12 @@ var goldenDigests = map[string]string{
 	"warehouse":        "426099deebeef0f54ad2998eda864a794fe82892b04a6f0bc6ebb7053a4a44a4",
 	"tdm-mobile-adapt": "527946450cdd8466655bcf92c4cc337c3cfb330eefa2fa6da23b343cfddcad3d",
 	"tdm-arf-shelf":    "b015bfea4394ecc37888a74f364deba1cd0eaa165f97dc002af0ceb5f0a64b11",
+	"serve-sw-arf":     "66b5febad2f31c3cefcb1876662d107b3436072d9f2fec174137408d62e723b4",
+	"serve-ba-fd":      "eb02d253b0b3ba48da21ece1fbde62e3940d07f07047fc1ef66e47cfc83335e0",
+	"serve-fd-rho0":    "a13a5309fcf0a032e5f8d7c7faee1b0b49a245ef559bc0dfc238ddef83af08cc",
+	"serve-fifo-fd":    "2b9766333e20404c456e612fd6832b4e803e8272826ece2b48a506fd4005d286",
+	"serve-abort1":     "e85680d2a4e1e872f5e0e310a15e8bf93d1e4bd6105a60322d8657045e7868aa",
+	"serve-outage-fd":  "bb0c4fcb73df50c5d5e24ffb8bce4f0d417ef0fdfa39e2823fad09b1fe5d2171",
 }
 
 func TestGoldenDigests(t *testing.T) {

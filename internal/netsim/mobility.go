@@ -61,7 +61,8 @@ func newWaypointWalk(n int, radius, step float64, src *simrand.Source) *waypoint
 func (w *waypointWalk) draw() Position {
 	rad := w.radius * math.Sqrt(w.src.Float64())
 	th := 2 * math.Pi * w.src.Float64()
-	return Position{X: rad * math.Cos(th), Y: rad * math.Sin(th)}
+	sin, cos := math.Sincos(th) // bit for bit Cos and Sin (TestSincosMatchesCosSin)
+	return Position{X: rad * cos, Y: rad * sin}
 }
 
 // advance moves every tag one step toward its waypoint, drawing a new

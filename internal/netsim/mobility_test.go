@@ -134,3 +134,25 @@ func TestMobileFleetPresetRuns(t *testing.T) {
 		t.Fatal("mobile run must reproduce under the same seed")
 	}
 }
+
+// TestSincosMatchesCosSin pins the placement and waypoint draws'
+// math.Sincos to math.Cos and math.Sin bit for bit, over 2^20 angles
+// drawn the way the draws make them and the edges of their range: 0,
+// every multiple of pi/4 up to 2*pi, and the largest angle below 2*pi.
+func TestSincosMatchesCosSin(t *testing.T) {
+	angles := []float64{0, math.Nextafter(2*math.Pi, 0)}
+	for k := 1; k <= 8; k++ {
+		angles = append(angles, float64(k)*math.Pi/4)
+	}
+	src := simrand.New(1)
+	for range 1 << 20 {
+		angles = append(angles, 2*math.Pi*src.Float64())
+	}
+	for _, th := range angles {
+		sin, cos := math.Sincos(th)
+		if math.Float64bits(sin) != math.Float64bits(math.Sin(th)) ||
+			math.Float64bits(cos) != math.Float64bits(math.Cos(th)) {
+			t.Fatalf("Sincos(%v) = (%v, %v), Sin/Cos give (%v, %v)", th, sin, cos, math.Sin(th), math.Cos(th))
+		}
+	}
+}

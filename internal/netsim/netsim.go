@@ -45,12 +45,13 @@
 // contiguous memory — and tags are grouped per reader cell in a CSR
 // association index, which fixes the serial slot-draw order and the
 // per-cell shards of policy-scheduled windows; ALOHA service shards by
-// tag range like every other per-tag phase. The per-round hot path is
-// allocation-free at every worker count: worker scratch (protocol
-// instances, per-cell serve sums, derive buffers) is allocated once at
-// setup, and the worker pool is persistent across rounds. An opt-in analytic fast path
-// (Scenario.Analytic) replaces per-chunk simulation with closed-form
-// expected airtime per frame; see analytic.go.
+// tag range like every other per-tag phase, and each worker serves up
+// to eight winners' frames at once (serve.go). The per-round hot path
+// is allocation-free at every worker count: worker scratch (serve
+// lanes, per-cell serve sums, derive buffers) is allocated once at
+// setup, and the worker pool is persistent across rounds. An opt-in
+// analytic fast path (Scenario.Analytic) replaces per-chunk simulation
+// with closed-form expected airtime per frame; see analytic.go.
 package netsim
 
 import (
@@ -386,7 +387,7 @@ type engine struct {
 	tdm       bool
 	analytic  bool
 	// params carries the shared MAC dimensions; FeedbackBER is per tag
-	// and written into each worker's params copy before a frame.
+	// and written into a full-duplex lane's machine before each frame.
 	params mac.Params
 
 	// Round-loop scratch. slotChoice is each ALOHA contender's drawn
@@ -1212,173 +1213,6 @@ func (e *engine) drainShard(lo, hi int) {
 	s[0].Add(switches)
 	s[1].Add(chunks)
 	s[2].Add(lag)
-}
-
-// runFrame pushes one frame of tag i through the scenario's MAC
-// protocol on worker w's reused protocol instances, drawing from the
-// tag's inline streams in place.
-// Full duplex draws a fresh seed per transmission so feedback-decoding
-// randomness is independent across frames (the protocol reseeds its
-// internal source on every Run call). Part of the round loop guarded by
-// TestRoundLoopAllocFree, sharded rows included.
-//
-//fdlint:parallel
-//fdlint:noalloc
-func (e *engine) runFrame(w *netWorker, i int32) mac.Result {
-	t := &e.tags
-	ts := &t.stats[i]
-	w.iid.Src = &t.loss[i]
-	w.iid.P = ts.ChunkLossProb
-	extraP := 0.0
-	if f := e.flt; f != nil {
-		// An interference burst on this cell composes into the forward
-		// chunk loss: a chunk survives only if it clears both the
-		// geometric loss and the burst.
-		extraP = f.cellLoss[t.reader[i]]
-		if extraP > 0 {
-			w.iid.P += (1 - w.iid.P) * extraP
-		}
-	}
-	var loss mac.Loss = &w.iid
-	if e.fade != nil {
-		w.fv.bind(int(i))
-		w.fv.beginFrame()
-		w.fv.extraP = extraP
-		loss = &w.fv
-	}
-	w.params.FeedbackBER = ts.FeedbackBER
-	var mr mac.Result
-	switch e.sc.Protocol {
-	case "stop-and-wait":
-		w.sw.P = w.params
-		mr = w.sw.Run(1, loss)
-	case "block-ack":
-		w.ba.P = w.params
-		mr = w.ba.Run(1, loss)
-	default:
-		w.fd.P = w.params
-		w.fd.Seed = t.proto[i].Uint64()
-		mr = w.fd.Run(1, loss)
-	}
-	return mr
-}
-
-// serveShard is the parallel body of the ALOHA serve phase for tags
-// [lo, hi): each contender whose reader's cell is open either won its
-// slot alone (its bit is not in the cell's slotMany set), and is
-// served, or collided, and is charged. It relies on two invariants:
-// t.reader[i] == r exactly when i is in cellTags(r) (deriveLinks
-// rebuilds the CSR index from t.reader, which nothing else writes), and
-// contends(i) cannot change between drawSlots and this pass (only tag
-// i's own exchange below writes the state it reads, and only after the
-// check). So this pass visits exactly the tags drawSlots drew for.
-// Service order is free: everything a singleton exchange writes belongs
-// to its tag (queue, stats, stream words, fade and congestion rows) or
-// is an integer sum in this worker's serve row for the cell, and a tag
-// either wins its slot or collides, never both. Part of the round loop
-// guarded by TestRoundLoopAllocFree, sharded rows included.
-//
-//fdlint:parallel
-//fdlint:noalloc
-func (e *engine) serveShard(w *netWorker, lo, hi int) {
-	t := &e.tags
-	nw := e.slotWords
-	for i := lo; i < hi; i++ {
-		if !e.contends(int32(i)) {
-			continue
-		}
-		ci := int(e.cellOf[t.reader[i]])
-		if ci < 0 {
-			continue
-		}
-		s := e.slotChoice[i]
-		if e.slotMany[ci*nw+int(s>>6)]&(uint64(1)<<(s&63)) == 0 {
-			e.serveSlot(w, &w.serve[ci], int32(i))
-			continue
-		}
-		// A colliding tag was on air until the reader shut the slot
-		// down, so it pays the transmit energy for that airtime at
-		// round-end settlement just like a singleton winner does — the
-		// frame itself stays queued.
-		t.stats[i].Collisions++
-		t.txCount[i]++
-		t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
-	}
-}
-
-// serveSlot carries tag i's head-of-line frame through one singleton
-// slot — the MAC exchange, queue movement, delivery accounting, and
-// the congestion controller's delivery/failure feedback — and adds
-// the slot's elapsed byte-time, goodput and delivery to sa, the
-// calling worker's serve row for tag i's cell. Shared by the ALOHA
-// path, which serves its winners in tag order, and the
-// policy-scheduled path, which serves them in grant order. What it
-// writes is tag i's own state plus integer sums in sa, so a cell's
-// winners may be served in any order, on any worker, with the same
-// result. Part of the round loop guarded by TestRoundLoopAllocFree,
-// sharded rows included.
-//
-//fdlint:parallel
-//fdlint:noalloc
-func (e *engine) serveSlot(w *netWorker, sa *serveAcc, i int32) {
-	t := &e.tags
-	var mr mac.Result
-	var elapsed, air int64
-	if e.analytic {
-		mr = e.analyticFrame(i)
-		elapsed, air = mr.ElapsedBytes, mr.AirtimeBytes
-	} else {
-		mr = e.runFrame(w, i)
-		elapsed, air = mr.ElapsedBytes, mr.AirtimeBytes
-		if e.fade != nil {
-			// A chunk at rate multiplier m occupies chunkAir/m
-			// byte-times: shift the exchange's clock and airtime
-			// by the rates the adapter actually used, and deliver
-			// the end-of-frame verdict the frame-probing policies
-			// learn from.
-			extra := w.fv.frameExtraBytes(e.chunkAir)
-			elapsed += extra
-			air += extra
-			w.fv.endFrame(mr.FramesDelivered == 1)
-			w.fv.unbind()
-		}
-	}
-	t.queue[i]--
-	t.stats[i].AirtimeBytes += air
-	t.stats[i].MACAttempts += mr.Attempts
-	if mr.FramesDelivered == 1 {
-		t.stats[i].FramesDelivered++
-		sa.delivered++
-		sa.goodput += mr.GoodputBytes
-		if c := e.cong; c != nil {
-			c.onDelivery(int(i), e.curRound)
-		}
-	} else if c := e.cong; c != nil {
-		// MAC-attempt exhaustion is a loss event: the frame parks on
-		// the retx queue under multiplicative decrease and backoff
-		// instead of hammering the cell again next round.
-		c.lossEvent(t, int(i), e.curRound)
-		c.park(t, int(i), e.curRound)
-	} else {
-		// Undelivered after MaxAttempts: re-queue for a later
-		// round (unless the open-loop queue refilled).
-		if int(t.queue[i]) < e.sc.QueueCap {
-			t.queue[i]++
-		} else {
-			t.stats[i].FramesDropped++
-		}
-	}
-	if s := e.sched; s != nil && t.queue[i] > 0 {
-		// The departed head exposes the next frame; it starts aging
-		// from the round it became head.
-		s.backlogSince[i] = int32(e.curRound)
-	}
-	// Energy is settled once at round end; record how long this
-	// tag spent transmitting so its harvest and draw can be
-	// adjusted there.
-	t.txCount[i]++
-	t.txDt[i] += float64(elapsed) * e.secondsPerByte
-	sa.elapsed += elapsed
 }
 
 // String summarises a run for logs.

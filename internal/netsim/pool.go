@@ -19,8 +19,6 @@ package netsim
 import (
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/mac"
 )
 
 // phaseKind names the parallel phases of the round loop.
@@ -82,21 +80,14 @@ type serveAcc struct {
 	_                           [5]int64
 }
 
-// netWorker is one worker's scratch: reused protocol instances and the
-// per-cell sums of the exchanges it serves. Everything here is
-// allocated once at pool start.
+// netWorker is one worker's scratch: the serve lanes and the per-cell
+// sums of the exchanges it serves. Everything here is allocated once at
+// pool start.
 type netWorker struct {
-	// iid is pointed at the serving tag's loss stream per frame.
-	iid mac.IIDLoss
-	fv  fadeView
-	// params is the worker's copy of the shared MAC dimensions;
-	// FeedbackBER is written per frame.
-	params mac.Params
-	fd     mac.FullDuplex
-	sw     mac.StopAndWait
-	ba     mac.BlockACK
+	// lanes hold the singleton exchanges in flight (serve.go).
+	lanes laneSet
 	// serve[ci] sums the exchanges this worker served for active cell
-	// ci this round (serveSlot).
+	// ci this round (finishFrame).
 	serve []serveAcc
 	// Grant-list scratch for runPolicyCell (nil under PolicyAloha):
 	// the top-ContentionWindow contenders by policy metric.
@@ -128,8 +119,8 @@ type pool struct {
 
 // start builds the worker scratch and parks workers-1 helper
 // goroutines on the dispatch channel (the main goroutine is
-// workers[0]). Protocol scratch is primed here so first use never
-// allocates — an allocation on first use would land on whichever
+// workers[0]). The lanes' protocol scratch is primed here so first use
+// never allocates — an allocation on first use would land on whichever
 // worker happened to claim the first frame, making allocation counts
 // scheduling-dependent.
 //
@@ -145,8 +136,7 @@ func (p *pool) start(e *engine, workers int) {
 	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
-			params: e.params,
-			serve:  make([]serveAcc, R),
+			serve: make([]serveAcc, R),
 
 			deriveBlock: block,
 			dist:        make([]float64, nb*R),
@@ -155,11 +145,7 @@ func (p *pool) start(e *engine, workers int) {
 			noiseW:      make([]float64, nb),
 			snrDB:       make([]float64, nb),
 		}
-		w.fd.P = e.params
-		w.fd.Prime()
-		if e.fade != nil {
-			w.fv.init(e, &w.iid)
-		}
+		w.lanes.init(e)
 		if e.sched != nil {
 			w.grantIdx = make([]int32, 0, cw)
 			w.grantMetric = make([]float64, 0, cw)

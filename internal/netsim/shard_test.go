@@ -44,6 +44,16 @@ func shardScenarios(t *testing.T) []Scenario {
 		out = append(out, multiShard(sc))
 	}
 	out = append(out, multiShard(tdmMobileAdaptScenario()))
+	// Every lane configuration of the serve phase, refilled across
+	// shard boundaries. The faulted row stops a few rounds into its
+	// interference burst, which keeps it near the cost of the
+	// unfaded outage-retail row.
+	for _, sc := range serveScenarios(t) {
+		if sc.Faults.enabled() {
+			sc.MaxRounds = 104
+		}
+		out = append(out, multiShard(sc))
+	}
 	// The analytic fast path must obey the same contract.
 	an, err := Preset("warehouse")
 	if err != nil {

@@ -95,7 +95,10 @@ func placeUniformDisc(n int, r float64, src *simrand.Source) []Position {
 		// Area-uniform: radius ~ r*sqrt(u).
 		rad := r * math.Sqrt(src.Float64())
 		th := 2 * math.Pi * src.Float64()
-		out[i] = Position{X: rad * math.Cos(th), Y: rad * math.Sin(th)}
+		// One argument reduction for both; bit for bit Cos and Sin
+		// (TestSincosMatchesCosSin).
+		sin, cos := math.Sincos(th)
+		out[i] = Position{X: rad * cos, Y: rad * sin}
 	}
 	return out
 }

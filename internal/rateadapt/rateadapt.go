@@ -78,8 +78,14 @@ func FadeStep(h complex128, rho float64, src *simrand.Source) complex128 {
 // FadeGainDB is a fading coefficient's instantaneous power gain in dB,
 // floored at -90 dB exactly as the trace model floors it.
 func FadeGainDB(h complex128) float64 {
-	gain := real(h * cmplx.Conj(h))
-	return 10 * math.Log10(math.Max(gain, 1e-9))
+	return 10 * math.Log10(FadePower(h))
+}
+
+// FadePower is a fading coefficient's instantaneous power gain, floored
+// at 1e-9: what FadeGainDB takes the Log10 of, for engines that batch
+// the Log across many coefficients.
+func FadePower(h complex128) float64 {
+	return math.Max(real(h*cmplx.Conj(h)), 1e-9)
 }
 
 // Adapter selects the transmission rate index and learns from feedback.
