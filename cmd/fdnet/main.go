@@ -17,6 +17,7 @@
 //	fdnet -preset congested-dock -policy fifo       # swap admission
 //	fdnet -preset warehouse -congestion cubic -load 1.5
 //	fdnet -preset million -summary -cpuprofile cpu.prof -memprofile mem.prof
+//	fdnet -preset million -summary -workers 2 -phases
 //
 // Overrides (-tags, -topology, -radius, -load, -protocol, -readers,
 // -scheduling, -mobility, -rateadapt, -faderho, -policy, -congestion,
@@ -32,7 +33,10 @@
 // -summary skips the per-tag table (a million-tag table is ~100 MB)
 // and prints only the aggregate block. -format accepts text or csv;
 // any other value exits 2. -cpuprofile/-memprofile write pprof profiles
-// of the run, as fdbench's do; stdout is unchanged.
+// of the run, as fdbench's do; stdout is unchanged. -phases prints the
+// engine's phase table to stderr: each phase's wall milliseconds, its
+// share, how often it ran and each worker's busy time in it, then how
+// much of the run's wall time the phases cover; stdout is unchanged.
 package main
 
 import (
@@ -44,6 +48,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"time"
 
 	"repro/internal/netsim"
 	"repro/internal/trace"
@@ -69,6 +74,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		summary = fs.Bool("summary", false, "print only the aggregate block, not the per-tag table")
 		cpuProf = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf = fs.String("memprofile", "", "write a pprof heap profile to this file")
+		phases  = fs.Bool("phases", false, "print the engine's per-phase time table to stderr; stdout is unchanged")
 	)
 	// Override flags, read back by name through overrides.
 	fs.Int("tags", 0, "override tag count")
@@ -206,7 +212,18 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			}
 		}()
 	}
-	res, err := netsim.RunParallel(sc, *seed, nw)
+	var res *netsim.NetResult
+	if *phases {
+		start := time.Now()
+		pt := netsim.NewPhaseTimes(func() int64 { return int64(time.Since(start)) })
+		res, err = netsim.RunPhased(sc, *seed, nw, pt)
+		wall := time.Since(start)
+		if err == nil {
+			err = pt.WriteTable(stderr, int64(wall))
+		}
+	} else {
+		res, err = netsim.RunParallel(sc, *seed, nw)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 )
 
@@ -43,6 +44,8 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		// RunStreamOptions with a sink that discards every snapshot.
 		workers int
 		stream  bool
+		// phased runs through RunPhased with a counting clock.
+		phased bool
 		// tol bounds |extra allocations| over the 200 extra rounds.
 		// Sharded helpers park/unpark on the dispatch channel and the
 		// WaitGroup semaphore, whose runtime bookkeeping (sudog cache
@@ -85,8 +88,13 @@ func TestRoundLoopAllocFree(t *testing.T) {
 		// The streamer's snapshot and its slices, the rate-histogram
 		// delta included, are sized once at init.
 		{name: "streamed-rateadapt", workers: 1, stream: true, sc: adapt},
+		// The phase accumulator's per-worker rows are sized before the
+		// first round; its hooks only add to fixed arrays.
+		{name: "phased-w2", workers: 2, phased: true, sc: sharded, tol: 10},
 	}
 	discard := func(*RoundSnapshot) error { return nil }
+	var tick atomic.Int64
+	pt := NewPhaseTimes(func() int64 { return tick.Add(1) })
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			measure := func(rounds int) float64 {
@@ -94,9 +102,12 @@ func TestRoundLoopAllocFree(t *testing.T) {
 				sc.MaxRounds = rounds
 				return testing.AllocsPerRun(5, func() {
 					var err error
-					if tc.stream {
+					switch {
+					case tc.stream:
 						_, err = RunStreamOptions(context.Background(), sc, 7, StreamOptions{Workers: tc.workers}, discard)
-					} else {
+					case tc.phased:
+						_, err = RunPhased(sc, 7, tc.workers, pt)
+					default:
 						_, err = RunParallel(sc, 7, tc.workers)
 					}
 					if err != nil {

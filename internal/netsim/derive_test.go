@@ -69,7 +69,7 @@ func newTestEngine(t testing.TB, sc Scenario, seed uint64, workers int) *engine 
 		t.Fatal(err)
 	}
 	root := simrand.New(seed)
-	e, err := newEngine(sc, seed, workers, root, root.Split())
+	e, err := newEngine(sc, seed, workers, root, root.Split(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -363,6 +363,9 @@ type engine struct {
 	cong    *congState  // closed-loop congestion control state (nil when disabled)
 	sched   *schedState // reader scheduling policy state (nil under PolicyAloha)
 	flt     *faultState // fault-injection state (nil when disabled)
+	// acc accumulates the run's phase times (phases.go); nil unless
+	// the run is phased.
+	acc *PhaseTimes
 	// gains[i*R+r] is the linear power gain from reader r to tag i,
 	// re-derived per epoch under mobility. Only TDM settlement reads it
 	// (a tag harvests the epoch's single carrier); nil otherwise.
@@ -469,13 +472,17 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 	// transition happens between rounds on this goroutine.
 	faultSrc := simrand.New(faultSeed(seed)) //fdlint:serial
 
-	e, err := newEngine(sc, seed, ResolveWorkers(workers), root, placeSrc)
+	nw := ResolveWorkers(workers)
+	acc, _ := obs.(*PhaseTimes)
+	acc.begin(nw, phaseEngine)
+	e, err := newEngine(sc, seed, nw, root, placeSrc, acc)
 	if err != nil {
 		return nil, err
 	}
 	defer e.pool.stop()
 	var walk *waypointWalk
 	if sc.Mobility.enabled() {
+		acc.enter(phaseSetup)
 		walk = newWaypointWalk(sc.Tags, sc.RadiusM, sc.Mobility.StepM, mobilitySrc)
 	}
 	if obs == nil {
@@ -500,9 +507,12 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 		}
 		res.Rounds = round + 1
 		e.curRound = round
+		acc.enter(phaseOpen)
 		e.openRound(walk, faultSrc)
+		acc.enter(phaseArrive)
 		e.arrive(trafficSrc)
 		if e.sched != nil && e.sched.policy == PolicyDeadline {
+			acc.enter(phaseDeadline)
 			e.dropDeadlines(round)
 		}
 		if e.cong != nil {
@@ -516,27 +526,33 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 		// tag ranges and never touches slotSrc. Policy-scheduled cells
 		// grant slots instead of drawing them, one cell per shard.
 		if e.sched == nil {
+			acc.enter(phaseSlots)
 			e.drawSlots(slotSrc)
 			e.pool.dispatch(phaseServe)
 		} else {
 			e.pool.dispatch(phaseGrants)
 		}
+		acc.enter(phaseReduce)
 		anyQueued = e.settle(res, e.reduceWindows(res))
+		acc.enter(phaseObserve)
 		if err := obs.observe(e, res, round); err != nil {
 			return nil, err
 		}
 		clear(e.tags.txCount)
 		clear(e.tags.txDt)
 	}
+	acc.enter(phaseFold)
 	e.drain(res)
+	acc.end()
 	return res, nil
 }
 
 // newEngine builds a run's engine from a defaulted, validated scenario,
 // placing tags from placeSrc and seeding them from root, and returns it
 // with its worker pool started (the caller stops it) and links derived.
-func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.Source) (*engine, error) {
+func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.Source, acc *PhaseTimes) (*engine, error) {
 	readers := PlaceReaders(sc.Readers)
+	acc.enter(phaseSetup)
 	positions, err := PlaceTags(sc.Topology, sc.Tags, sc.RadiusM, sc.Clusters, sc.ClusterSpreadM, readers, placeSrc)
 	if err != nil {
 		return nil, err
@@ -634,6 +650,8 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	if sc.Faults.enabled() {
 		e.flt = newFaultState(sc.Faults, sc.Tags, R)
 	}
+	e.acc = acc
+	acc.enter(phaseEngine)
 	e.pool.start(e, workers)
 	e.pool.dispatch(phaseInit)
 	e.deriveLinks()
@@ -651,7 +669,9 @@ func (e *engine) openRound(walk *waypointWalk, faultSrc *simrand.Source) {
 	round, epochLen := e.curRound, e.sc.Mobility.EpochRounds
 	if round%epochLen == 0 {
 		if walk != nil && round > 0 {
+			prev := e.acc.enter(phaseWalk)
 			walk.advance(e.tags.pos)
+			e.acc.resume(prev)
 			e.deriveLinks()
 		}
 		if e.tdm {
@@ -946,6 +966,7 @@ func (e *engine) cellTags(r int) []int32 {
 // under mobility.
 func (e *engine) deriveLinks() {
 	e.pool.dispatch(phaseDerive)
+	prev := e.acc.enter(phaseAssoc)
 
 	t := &e.tags
 	R := len(e.readers)
@@ -965,6 +986,7 @@ func (e *engine) deriveLinks() {
 		e.tagsByReader[e.readerFill[r]] = int32(i)
 		e.readerFill[r]++
 	}
+	e.acc.resume(prev)
 }
 
 // initShard is the parallel body of per-tag setup for tags [lo, hi):

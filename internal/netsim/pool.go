@@ -44,6 +44,18 @@ const (
 	// phaseCong runs the per-round congestion pass (RTO expiry, retx
 	// re-admission, pacing eligibility); shards are tag ranges.
 	phaseCong
+	// phaseSetup runs newEngine's independent set-up tasks: the
+	// placement and waypoint draws, parking the root stream, and the
+	// large column allocations; shards are tasks (setupTask).
+	phaseSetup
+	// phaseContend finds each ALOHA cell's contenders ahead of the
+	// serial slot draws; shards are ranges of the cells' association
+	// lists.
+	phaseContend
+	// phaseWalk moves the waypoint walkers that have not arrived;
+	// shards are tag ranges.
+	phaseWalk
+	numParallelPhases
 )
 
 // deriveBlockGains is the number of tag-reader gains deriveShard
@@ -84,6 +96,8 @@ type serveAcc struct {
 // sums of the exchanges it serves. Everything here is allocated once at
 // pool start.
 type netWorker struct {
+	// id indexes the worker in pool.workers (0 is the main goroutine).
+	id int
 	// lanes hold the singleton exchanges in flight (serve.go).
 	lanes laneSet
 	// serve[ci] sums the exchanges this worker served for active cell
@@ -136,6 +150,7 @@ func (p *pool) start(e *engine, workers int) {
 	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
+			id:    i,
 			serve: make([]serveAcc, R),
 
 			deriveBlock: block,
@@ -183,10 +198,12 @@ func (p *pool) dispatch(ph phaseKind) {
 	if n == 0 {
 		return
 	}
+	prev := p.e.acc.enter(ph)
 	p.shardNext.Store(0)
 	helpers := len(p.workers) - 1
 	if helpers == 0 || n <= 1 {
 		p.runPhase(p.workers[0], ph)
+		p.e.acc.resume(prev)
 		return
 	}
 	// Token count need not match claim counts: a fast helper may drain
@@ -199,6 +216,7 @@ func (p *pool) dispatch(ph phaseKind) {
 	}
 	p.runPhase(p.workers[0], ph)
 	p.wg.Wait()
+	p.e.acc.resume(prev)
 }
 
 // runPhase claims shards until the phase is exhausted. Executes on
@@ -209,9 +227,13 @@ func (p *pool) dispatch(ph phaseKind) {
 func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 	e := p.e
 	n := p.shardCount(ph)
+	t0 := e.acc.now()
 	for {
 		s := int(p.shardNext.Add(1)) - 1
 		if s >= n {
+			if a := e.acc; a != nil {
+				a.busy[w.id][ph] += a.now() - t0
+			}
 			return
 		}
 		switch ph {

@@ -273,7 +273,7 @@ func TestDrawSlotsClassifiesExactly(t *testing.T) {
 		}
 		root := simrand.New(5)
 		placeSrc, trafficSrc, slotSrc := root.Split(), root.Split(), root.Split()
-		e, err := newEngine(sc, 5, 1, root, placeSrc)
+		e, err := newEngine(sc, 5, 1, root, placeSrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

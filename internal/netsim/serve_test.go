@@ -29,7 +29,7 @@ func BenchmarkServe(b *testing.B) {
 		root := simrand.New(seed)
 		placeSrc, trafficSrc, slotSrc := root.Split(), root.Split(), root.Split()
 		root.Split() // mobility
-		e, err := newEngine(sc, seed, 1, root, placeSrc)
+		e, err := newEngine(sc, seed, 1, root, placeSrc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
