@@ -96,8 +96,9 @@ type serveAcc struct {
 // sums of the exchanges it serves. Everything here is allocated once at
 // pool start.
 type netWorker struct {
-	// id indexes the worker in pool.workers (0 is the main goroutine).
-	id int
+	// busy is this worker's row of the phase accumulator's busy times
+	// (nil unless the run is phased).
+	busy *[numPhases]int64
 	// lanes hold the singleton exchanges in flight (serve.go).
 	lanes laneSet
 	// serve[ci] sums the exchanges this worker served for active cell
@@ -150,7 +151,6 @@ func (p *pool) start(e *engine, workers int) {
 	nb := min(e.tags.len(), block)
 	for i := range p.workers {
 		w := &netWorker{
-			id:    i,
 			serve: make([]serveAcc, R),
 
 			deriveBlock: block,
@@ -159,6 +159,9 @@ func (p *pool) start(e *engine, workers int) {
 			bestG:       make([]float64, nb),
 			noiseW:      make([]float64, nb),
 			snrDB:       make([]float64, nb),
+		}
+		if e.acc != nil {
+			w.busy = &e.acc.busy[i]
 		}
 		w.lanes.init(e)
 		if e.sched != nil {
@@ -231,8 +234,8 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 	for {
 		s := int(p.shardNext.Add(1)) - 1
 		if s >= n {
-			if a := e.acc; a != nil {
-				a.busy[w.id][ph] += a.now() - t0
+			if w.busy != nil {
+				w.busy[ph] += e.acc.now() - t0
 			}
 			return
 		}
