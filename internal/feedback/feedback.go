@@ -255,3 +255,33 @@ func ManchesterBER(delta, sigma float64, samplesPerBit int) float64 {
 	sd := sigma * math.Sqrt(2/half)
 	return QFunc(delta / sd)
 }
+
+// ManchesterBERs sets dst[j] = ManchesterBER(delta[j], sigma[j],
+// samplesPerBit) for every j, bit for bit, with the Erfc inside QFunc
+// run through vecmath.Erfc. dst may be delta or sigma itself. sigma
+// and dst must be at least as long as delta.
+func ManchesterBERs(dst, delta, sigma []float64, samplesPerBit int) {
+	dst, sigma = dst[:len(delta)], sigma[:len(delta)]
+	// The early returns become Erfc arguments that give their values:
+	// 0.5*Erfc(0) = 0.5 and 0.5*Erfc(+Inf) = 0.
+	k := math.Sqrt(2 / float64(samplesPerBit/2))
+	for j, d := range delta {
+		switch {
+		case d <= 0 || samplesPerBit < 2:
+			dst[j] = 0
+		case sigma[j] <= 0:
+			dst[j] = math.Inf(1)
+		default:
+			dst[j] = d / (sigma[j] * k) / math.Sqrt2
+		}
+	}
+	for j := 0; j < len(dst); {
+		j += vecmath.Erfc(dst[j:], dst[j:])
+		for end := min(j+4, len(dst)); j < end; j++ {
+			dst[j] = math.Erfc(dst[j])
+		}
+	}
+	for j, e := range dst {
+		dst[j] = 0.5 * e
+	}
+}

@@ -321,3 +321,70 @@ func TestNormalizeMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestManchesterBERsMatchScalar holds the batch to ManchesterBER bit
+// for bit: separations that put QFunc's Erfc argument next to every
+// branch edge of math.Erfc (2^-56, 0.25, 0.84375, 1.25, 1/0.35, 6, 28),
+// NaN and infinite inputs, delta <= 0, sigma <= 0 and samplesPerBit <
+// 2, at every length up to 40 so each lane of a group and the scalar
+// tail see them, written to a fresh slice and in place over delta.
+func TestManchesterBERsMatchScalar(t *testing.T) {
+	var deltas, sigmas []float64
+	for _, x := range []float64{0x1p-56, 0.25, 0.84375, 1.25, 1 / 0.35, 6, 28, 0.5, 2, 40} {
+		// samplesPerBit 4 makes the argument delta/sigma/Sqrt2.
+		d := x * math.Sqrt2
+		deltas = append(deltas, d, math.Nextafter(d, 0), math.Nextafter(d, 100))
+	}
+	deltas = append(deltas, 0, math.Copysign(0, -1), -1, math.NaN(), math.Inf(1), math.Inf(-1))
+	for _, s := range []float64{1, 0.5, 3, 0, math.Copysign(0, -1), -2, math.NaN(), math.Inf(1), 1e-300} {
+		sigmas = append(sigmas, s)
+	}
+	r := simrand.New(3)
+	for _, spb := range []int{4, 131072, 2, 1, 0, -3} {
+		for n := 0; n <= 40; n++ {
+			delta, sigma := make([]float64, n), make([]float64, n)
+			for j := range delta {
+				delta[j] = deltas[r.IntN(len(deltas))]
+				sigma[j] = sigmas[r.IntN(len(sigmas))]
+				if r.IntN(3) == 0 {
+					sigma[j] = 1 // the edges themselves
+				}
+			}
+			got := make([]float64, n)
+			ManchesterBERs(got, delta, sigma, spb)
+			inPlace := append([]float64(nil), delta...)
+			ManchesterBERs(inPlace, inPlace, sigma, spb)
+			for j := range delta {
+				want := ManchesterBER(delta[j], sigma[j], spb)
+				if math.Float64bits(got[j]) != math.Float64bits(want) || math.Float64bits(inPlace[j]) != math.Float64bits(want) {
+					t.Fatalf("spb %d n %d lane %d: ManchesterBERs(%v, %v) = %v (in place %v), ManchesterBER = %v",
+						spb, n, j, delta[j], sigma[j], got[j], inPlace[j], want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkManchesterBERs times one derive block of BERs (512 links,
+// every Erfc branch) through the batch and through the scalar loop.
+func BenchmarkManchesterBERs(b *testing.B) {
+	const n = 512
+	r := simrand.New(9)
+	delta, sigma, dst := make([]float64, n), make([]float64, n), make([]float64, n)
+	for j := range delta {
+		delta[j] = r.Float64() * 4 * math.Sqrt2
+		sigma[j] = 1
+	}
+	b.Run("batch", func(b *testing.B) {
+		for range b.N {
+			ManchesterBERs(dst, delta, sigma, 4)
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		for range b.N {
+			for j, d := range delta {
+				dst[j] = ManchesterBER(d, sigma[j], 4)
+			}
+		}
+	})
+}

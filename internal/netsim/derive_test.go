@@ -69,7 +69,8 @@ func newTestEngine(t testing.TB, sc Scenario, seed uint64, workers int) *engine 
 		t.Fatal(err)
 	}
 	root := simrand.New(seed)
-	e, err := newEngine(sc, seed, workers, root, root.Split(), nil)
+	placeSrc, _, _, mobilitySrc := root.Split(), root.Split(), root.Split(), root.Split()
+	e, err := newEngine(sc, seed, workers, root, placeSrc, mobilitySrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/simrand"
 )
@@ -48,13 +49,12 @@ type waypointWalk struct {
 
 // newWaypointWalk draws every tag's initial waypoint up front, in tag
 // index order, so the draw sequence never depends on when tags arrive
-// at their targets.
+// at their targets. The waypoints are left as drawDiscPolar's polar
+// pairs: the engine's init phase converts them in place (polarToXY).
 func newWaypointWalk(n int, radius, step float64, src *simrand.Source) *waypointWalk {
 	w := &waypointWalk{radius: radius, step: step, src: src,
 		waypoints: make([]Position, n)}
-	for i := range w.waypoints {
-		w.waypoints[i] = w.draw()
-	}
+	drawDiscPolar(w.waypoints, radius, src)
 	return w
 }
 
@@ -65,24 +65,45 @@ func (w *waypointWalk) draw() Position {
 	return Position{X: rad * cos, Y: rad * sin}
 }
 
-// advance moves every tag one step toward its waypoint, drawing a new
-// waypoint on arrival. Tags are visited in index order; the only draws
-// are the redraws, and whether a tag redraws is itself a deterministic
-// function of the seeded history, so the walk stays reproducible.
+// move steps tags [lo, hi) one step toward their waypoints. A tag
+// within one step lands on its waypoint and is marked in arrived (bit
+// i) for redraw; the others' bits are cleared. It draws nothing, so
+// tag ranges that start on a word boundary move in parallel.
 // Waypoints lie inside the deployment disc, so positions that start
 // inside it never leave (and grid corners that start outside converge
 // into it).
-func (w *waypointWalk) advance(pos []Position) {
-	for i := range pos {
+//
+//fdlint:noalloc
+func (w *waypointWalk) move(pos []Position, lo, hi int, arrived []uint64) {
+	for i := lo; i < hi; i++ {
+		if i&63 == 0 {
+			arrived[i>>6] = 0
+		}
 		dx := w.waypoints[i].X - pos[i].X
 		dy := w.waypoints[i].Y - pos[i].Y
 		d := math.Hypot(dx, dy)
 		if d <= w.step {
 			pos[i] = w.waypoints[i]
-			w.waypoints[i] = w.draw()
+			arrived[i>>6] |= 1 << (i & 63)
 			continue
 		}
 		pos[i].X += dx / d * w.step
 		pos[i].Y += dy / d * w.step
+	}
+}
+
+// redraw draws a new waypoint for every tag move marked arrived, in tag
+// index order: the only draws of an epoch's step, and whether a tag
+// redraws is itself a deterministic function of the seeded history, so
+// the walk stays reproducible.
+//
+//fdlint:noalloc
+func (w *waypointWalk) redraw(arrived []uint64) {
+	for k, word := range arrived {
+		for word != 0 {
+			i := k<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			w.waypoints[i] = w.draw()
+		}
 	}
 }

@@ -8,14 +8,30 @@ import (
 	"repro/internal/simrand"
 )
 
+// newTestWalk is newWaypointWalk with its waypoints converted, as the
+// engine's init phase converts them.
+func newTestWalk(n int, radius, step float64, src *simrand.Source) *waypointWalk {
+	w := newWaypointWalk(n, radius, step, src)
+	polarToXY(w.waypoints)
+	return w
+}
+
+// advance moves every walker one step and redraws the arrivals'
+// targets, as an epoch boundary does.
+func advance(w *waypointWalk, pos []Position) {
+	arrived := make([]uint64, (len(pos)+63)/64)
+	w.move(pos, 0, len(pos), arrived)
+	w.redraw(arrived)
+}
+
 func TestWaypointWalkStepsTowardTarget(t *testing.T) {
-	w := newWaypointWalk(1, 10, 0.5, simrand.New(4))
+	w := newTestWalk(1, 10, 0.5, simrand.New(4))
 	pos := []Position{{X: 3, Y: -2}}
 	for i := 0; i < 200; i++ {
 		before := pos[0]
 		target := w.waypoints[0]
 		dBefore := math.Hypot(target.X-before.X, target.Y-before.Y)
-		w.advance(pos)
+		advance(w, pos)
 		moved := math.Hypot(pos[0].X-before.X, pos[0].Y-before.Y)
 		if moved > 0.5+1e-9 {
 			t.Fatalf("step %d moved %g, beyond the 0.5 m step", i, moved)
@@ -34,13 +50,13 @@ func TestWaypointWalkStepsTowardTarget(t *testing.T) {
 
 func TestWaypointWalkDeterministic(t *testing.T) {
 	mk := func() []Position {
-		w := newWaypointWalk(6, 8, 1, simrand.New(9))
+		w := newTestWalk(6, 8, 1, simrand.New(9))
 		pos := make([]Position, 6)
 		for i := range pos {
 			pos[i] = Position{X: float64(i), Y: 0}
 		}
 		for e := 0; e < 50; e++ {
-			w.advance(pos)
+			advance(w, pos)
 		}
 		return pos
 	}

@@ -100,22 +100,6 @@ type tagState struct {
 	stats []TagStats
 }
 
-func newTagState(n int) tagState {
-	return tagState{
-		reader:   make([]int32, n),
-		harvestW: make([]float64, n),
-		queue:    make([]int32, n),
-		energyJ:  make([]float64, n),
-		outageT:  make([]float64, n),
-		alive:    make([]bool, n),
-		txCount:  make([]int32, n),
-		txDt:     make([]float64, n),
-		loss:     make([]simrand.Source, n),
-		proto:    make([]simrand.Source, n),
-		stats:    make([]TagStats, n),
-	}
-}
-
 func (t *tagState) len() int { return len(t.alive) }
 
 // TagStats reports one tag's outcome.
@@ -359,10 +343,11 @@ type engine struct {
 	readers []Position
 	rstats  []ReaderStats
 	tags    tagState
-	fade    *fadeState  // closed-loop rate adaptation state (nil when disabled)
-	cong    *congState  // closed-loop congestion control state (nil when disabled)
-	sched   *schedState // reader scheduling policy state (nil under PolicyAloha)
-	flt     *faultState // fault-injection state (nil when disabled)
+	fade    *fadeState    // closed-loop rate adaptation state (nil when disabled)
+	cong    *congState    // closed-loop congestion control state (nil when disabled)
+	sched   *schedState   // reader scheduling policy state (nil under PolicyAloha)
+	flt     *faultState   // fault-injection state (nil when disabled)
+	walk    *waypointWalk // waypoint mobility state (nil when static)
 	// acc accumulates the run's phase times (phases.go); nil unless
 	// the run is phased.
 	acc *PhaseTimes
@@ -389,6 +374,7 @@ type engine struct {
 	couplingW float64
 	tdm       bool
 	analytic  bool
+	seed      uint64 // the run seed (the fading streams hash it)
 	// params carries the shared MAC dimensions; FeedbackBER is per tag
 	// and written into a full-duplex lane's machine before each frame.
 	params mac.Params
@@ -405,6 +391,14 @@ type engine struct {
 	slotOnce   []uint64
 	slotMany   []uint64
 	harvest    []float64
+	// tagBits is one bit per tag of scratch between a parallel pass and
+	// a later one: the walkers that arrived (waypointWalk.move), then
+	// the round's contenders (contendShard), which the slot draws and
+	// the serve phase read. Tag shards are whole words of it.
+	tagBits []uint64
+	// setupSrc holds the serial streams the set-up tasks draw, each
+	// indexed by the one task that draws it; cleared after set-up.
+	setupSrc [numSetupTasks]*simrand.Source
 
 	secondsPerByte float64
 	chunkAir       int64
@@ -475,16 +469,11 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 	nw := ResolveWorkers(workers)
 	acc, _ := obs.(*PhaseTimes)
 	acc.begin(nw, phaseEngine)
-	e, err := newEngine(sc, seed, nw, root, placeSrc, acc)
+	e, err := newEngine(sc, seed, nw, root, placeSrc, mobilitySrc, acc)
 	if err != nil {
 		return nil, err
 	}
 	defer e.pool.stop()
-	var walk *waypointWalk
-	if sc.Mobility.enabled() {
-		acc.enter(phaseSetup)
-		walk = newWaypointWalk(sc.Tags, sc.RadiusM, sc.Mobility.StepM, mobilitySrc)
-	}
 	if obs == nil {
 		obs = nopObserver{}
 	}
@@ -508,7 +497,7 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 		res.Rounds = round + 1
 		e.curRound = round
 		acc.enter(phaseOpen)
-		e.openRound(walk, faultSrc)
+		e.openRound(faultSrc)
 		acc.enter(phaseArrive)
 		e.arrive(trafficSrc)
 		if e.sched != nil && e.sched.policy == PolicyDeadline {
@@ -548,13 +537,14 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 }
 
 // newEngine builds a run's engine from a defaulted, validated scenario,
-// placing tags from placeSrc and seeding them from root, and returns it
-// with its worker pool started (the caller stops it) and links derived.
-func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.Source, acc *PhaseTimes) (*engine, error) {
+// placing tags from placeSrc, drawing the waypoint walk's first targets
+// from mobilitySrc (under mobility) and seeding the tags from root, and
+// returns it with its worker pool started (the caller stops it) and
+// links derived. The independent set-up jobs run as one pool phase
+// (setup.go), and the per-tag expansion as another.
+func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc, mobilitySrc *simrand.Source, acc *PhaseTimes) (*engine, error) {
 	readers := PlaceReaders(sc.Readers)
-	acc.enter(phaseSetup)
-	positions, err := PlaceTags(sc.Topology, sc.Tags, sc.RadiusM, sc.Clusters, sc.ClusterSpreadM, readers, placeSrc)
-	if err != nil {
+	if err := checkPlacement(sc.Topology, sc.Tags, sc.RadiusM, readers); err != nil {
 		return nil, err
 	}
 
@@ -582,23 +572,20 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	}
 
 	R := len(readers)
-	slotWords := (sc.ContentionWindow + 63) / 64
 	e := &engine{
 		sc:             sc,
 		pl:             channel.NewLogDistance(sc.FreqHz, sc.PathLossExp),
 		rate:           rateadapt.RateSpec{Name: "1x", Mult: 1, ReqSNRdB: sc.ReqSNRdB},
 		readers:        readers,
 		rstats:         make([]ReaderStats, R),
-		tags:           newTagState(sc.Tags),
-		tagsByReader:   make([]int32, sc.Tags),
 		readerOff:      make([]int32, R+1),
 		readerFill:     make([]int32, R),
 		backlog:        make([]int64, R),
 		tdm:            sc.Readers.Scheduling == SchedulingTDM,
 		analytic:       sc.Analytic,
+		seed:           seed,
 		params:         params,
-		slotChoice:     make([]int32, sc.Tags),
-		slotWords:      slotWords,
+		slotWords:      (sc.ContentionWindow + 63) / 64,
 		secondsPerByte: 8 / sc.BitRateBps,
 		chunkAir:       chunkAir,
 		collisionCost:  collisionCost,
@@ -607,10 +594,10 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 		cellContenders: make([]int32, R),
 		cellAcc:        make([]cellAcc, R),
 		activeReader:   -1,
+		acc:            acc,
+		setupSrc:       [numSetupTasks]*simrand.Source{taskPlace: placeSrc, taskWalk: mobilitySrc, taskRoot: root},
 	}
-	if e.tdm {
-		e.gains = make([]float64, sc.Tags*R)
-	} else {
+	if !e.tdm {
 		e.couplingW = math.Pow(10, -sc.Readers.IsolationdB/10)
 	}
 	e.budget = energy.Budget{
@@ -622,37 +609,14 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 	for r := range e.rstats {
 		e.rstats[r] = ReaderStats{ID: r, X: readers[r].X, Y: readers[r].Y}
 	}
-	t := &e.tags
-	t.pos = positions
-	// The only serial part of per-tag setup is the root draw order: two
-	// words per tag, in tag index order — the exact root sequence of the
-	// serial engine. Park them as the tag's loss stream; initShard
-	// expands each into the tag's full stream tree in parallel.
-	for i := 0; i < sc.Tags; i++ {
-		t.loss[i].SetState(root.Uint64(), root.Uint64())
-	}
-	if sc.RateAdapt.enabled() {
-		// The fading streams are hashed off the run seed, not split
-		// from the tree: enabling adaptation must not shift the streams
-		// the static engine draws. The loss draws themselves ride each
-		// tag's existing loss stream.
-		e.fade = newFadeState(sc.RateAdapt, sc.Tags, seed)
-	}
-	if sc.Congestion.enabled() {
-		e.cong = newCongState(sc.Congestion, sc.Tags, sc.QueueCap)
-	}
-	if sc.Readers.Policy != PolicyAloha {
-		e.sched = newSchedState(sc.Readers, sc.Tags)
-	} else {
-		e.slotOnce = make([]uint64, R*slotWords)
-		e.slotMany = make([]uint64, R*slotWords)
-	}
-	if sc.Faults.enabled() {
-		e.flt = newFaultState(sc.Faults, sc.Tags, R)
-	}
-	e.acc = acc
-	acc.enter(phaseEngine)
 	e.pool.start(e, workers)
+	e.pool.dispatch(phaseSetup)
+	e.setupSrc = [numSetupTasks]*simrand.Source{}
+	// The serve lanes copy the rate adapter's configuration, which the
+	// set-up phase built.
+	for _, w := range e.pool.workers {
+		w.lanes.init(e)
+	}
 	e.pool.dispatch(phaseInit)
 	e.deriveLinks()
 	return e, nil
@@ -665,13 +629,14 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc *simrand.So
 // the list of cells the round opens is rebuilt.
 //
 //fdlint:noalloc
-func (e *engine) openRound(walk *waypointWalk, faultSrc *simrand.Source) {
+func (e *engine) openRound(faultSrc *simrand.Source) {
 	round, epochLen := e.curRound, e.sc.Mobility.EpochRounds
 	if round%epochLen == 0 {
-		if walk != nil && round > 0 {
-			prev := e.acc.enter(phaseWalk)
-			walk.advance(e.tags.pos)
-			e.acc.resume(prev)
+		if e.walk != nil && round > 0 {
+			// The walkers that have not arrived move in parallel; the
+			// arrivals redraw their targets here, in tag order.
+			e.pool.dispatch(phaseWalk)
+			e.walk.redraw(e.tagBits)
 			e.deriveLinks()
 		}
 		if e.tdm {
@@ -799,7 +764,8 @@ func (e *engine) settle(res *NetResult, roundBytes int64) bool {
 
 // census walks every tag once: it sums the frame counters, counts the
 // live tags, and rebuilds e.backlog by current association. The sums
-// are integers, so order does not matter.
+// are integers, so order does not matter. The stream observer takes it
+// every round; the drain folds the same sums from its shards.
 //
 //fdlint:noalloc
 func (e *engine) census() (offered, delivered, dropped int64, alive int) {
@@ -830,12 +796,24 @@ func (e *engine) drain(res *NetResult) {
 	res.SimulatedS = e.settleNow
 	e.pool.dispatch(phaseDrain)
 	res.Tags = e.tags.stats
-	res.FramesOffered, res.FramesDelivered, res.FramesDropped, _ = e.census()
+	// The shards' integer sums, in worker order (any order gives the
+	// same integers): census's frame totals and backlog, and the
+	// adaptation counters.
+	clear(e.backlog)
+	for _, w := range e.pool.workers {
+		res.FramesOffered += w.offered
+		res.FramesDelivered += w.delivered
+		res.FramesDropped += w.dropped
+		res.RateSwitches += w.switches
+		res.AdaptChunks += w.chunks
+		res.AdaptLagChunks += w.lag
+		for r, q := range w.backlog {
+			e.backlog[r] += q
+		}
+	}
 	// Serial in tag order: the float sums (adaptInvMult, cwndSum)
 	// depend on order and must match the serial engine exactly.
 	if f := e.fade; f != nil {
-		s := &e.pool.adaptSums
-		res.RateSwitches, res.AdaptChunks, res.AdaptLagChunks = s[0].Load(), s[1].Load(), s[2].Load()
 		for _, m := range f.invMult {
 			res.adaptInvMult += m
 		}
@@ -900,11 +878,14 @@ func (e *engine) contends(i int32) bool {
 // cell's slotOnce set at its first draw and in slotMany at its second.
 // Popcounts then give the window's idle, singleton and collision slots,
 // their byte-time and the reader's slot stats, so the serve phase only
-// has to look up each contender's own bit. Part of the round loop
+// has to look up each contender's own bit. Deciding who contends is a
+// parallel pass over tag ranges (contendShard); the serial walk over
+// each cell's list reads one bit per tag. Part of the round loop
 // guarded by TestRoundLoopAllocFree.
 //
 //fdlint:noalloc
 func (e *engine) drawSlots(slotSrc *simrand.Source) {
+	e.pool.dispatch(phaseContend)
 	cw := e.sc.ContentionWindow
 	nw := e.slotWords
 	for ci, r := range e.activeCells {
@@ -914,7 +895,7 @@ func (e *engine) drawSlots(slotSrc *simrand.Source) {
 		clear(many)
 		contenders := int32(0)
 		for _, i := range e.cellTags(int(r)) {
-			if !e.contends(i) {
+			if e.tagBits[i>>6]&(1<<(i&63)) == 0 {
 				continue
 			}
 			s := slotSrc.IntN(cw)
@@ -944,6 +925,44 @@ func (e *engine) drawSlots(slotSrc *simrand.Source) {
 		rs := &e.rstats[r]
 		rs.SingletonSlots += acc.singletonSlots
 		rs.CollisionSlots += acc.collisionSlots
+	}
+}
+
+// b2u is 1 for true and 0 for false; gc compiles it without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// contendShard is the parallel body of the contender pass for tags
+// [lo, hi), which start on a word boundary: bit i of tagBits is set
+// when tag i contends this round.
+//
+//fdlint:parallel
+//fdlint:noalloc
+func (e *engine) contendShard(lo, hi int) {
+	t := &e.tags
+	for i0 := lo; i0 < hi; i0 += 64 {
+		n := min(64, hi-i0)
+		var word uint64
+		if e.flt == nil && e.cong == nil {
+			// contends without the optional layers, without a branch:
+			// alive with a backlog (queue is never negative).
+			alive, queue := t.alive[i0:i0+n], t.queue[i0:i0+n]
+			for j, a := range alive {
+				q := uint64(queue[j])
+				word |= b2u(a) & ((q | -q) >> 63) << j
+			}
+		} else {
+			for j := range n {
+				if e.contends(int32(i0 + j)) {
+					word |= 1 << j
+				}
+			}
+		}
+		e.tagBits[i0>>6] = word
 	}
 }
 
@@ -990,10 +1009,12 @@ func (e *engine) deriveLinks() {
 }
 
 // initShard is the parallel body of per-tag setup for tags [lo, hi):
-// stored energy, queue preload, stream-seed expansion, and the fade
-// row. Each tag's state is a pure function of the root stream parked
-// in its loss slot (plus the scenario), so the result is identical
-// however the ranges are sharded. Stats fields are assigned
+// stored energy, queue preload, stream-seed expansion, the fade row,
+// and the conversion of the set-up phase's polar draws (uniform-disc
+// positions, initial waypoints) to Cartesian. Each tag's state is a
+// pure function of the root stream parked in its loss slot and its own
+// draws (plus the scenario), so the result is identical however the
+// ranges are sharded. Stats fields are assigned
 // individually — the fresh slices are already zero, so whole-struct
 // literals would only re-clear memory the allocator cleared.
 //
@@ -1002,6 +1023,12 @@ func (e *engine) deriveLinks() {
 func (e *engine) initShard(w *netWorker, lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
+	if polarTopology(sc.Topology) {
+		polarToXY(t.pos[lo:hi])
+	}
+	if e.walk != nil {
+		polarToXY(e.walk.waypoints[lo:hi])
+	}
 	startJ, _, _ := e.budget.State()
 	for i := lo; i < hi; i++ {
 		t.alive[i] = true
@@ -1031,8 +1058,8 @@ func (e *engine) initShard(w *netWorker, lo, hi int) {
 // each transcendental output column. Each tag's value still comes from
 // the same operations in the same order as a one-tag-at-a-time loop;
 // staging lets the Hypot, Log and Exp passes run through the vecmath
-// kernels four lanes at a time, while Erfc (in ManchesterBER) stays
-// scalar.
+// kernels four lanes at a time, and the feedback BERs' Erfc run grouped
+// by branch (feedback.ManchesterBERs).
 //
 //fdlint:parallel
 //fdlint:noalloc
@@ -1118,9 +1145,15 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 		// channel; its BER follows the Manchester decoder prediction with
 		// the same calibration as the waveform feedback experiments
 		// (normalised separation g*sqrt(rho), noise referred to the
-		// transmit envelope).
+		// transmit envelope). The batch groups the lanes by Erfc branch;
+		// bestG and noiseW are spent, so they hold its inputs.
+		delta, sigma := bestG, noiseW
 		for j, bg := range bestG {
-			stats[j].FeedbackBER = feedback.ManchesterBER(bg*sqrtRho, math.Sqrt(noiseW[j]/2)/sqrtTx, sc.FeedbackSamplesPerBit)
+			delta[j], sigma[j] = bg*sqrtRho, math.Sqrt(noiseW[j]/2)/sqrtTx
+		}
+		feedback.ManchesterBERs(delta, delta, sigma, sc.FeedbackSamplesPerBit)
+		for j, ber := range delta {
+			stats[j].FeedbackBER = ber
 		}
 		// SNRdB is also the fading mean under rate adaptation: a
 		// mobility epoch moves the mean, while the small-scale
@@ -1196,17 +1229,22 @@ func (e *engine) settleShard(lo, hi int) {
 
 // drainShard is the parallel body of the end-of-run finalisation for
 // tags [lo, hi): what TagStats does not already hold (rate histograms,
-// mean rate multiplier, controller state, outage, lifetime).
+// mean rate multiplier, controller state, outage, lifetime), plus the
+// integer sums drain folds: census's frame totals and per-reader
+// backlog, and the adaptation counters, in w's own row.
 //
 //fdlint:parallel
 //fdlint:noalloc
-func (e *engine) drainShard(lo, hi int) {
+func (e *engine) drainShard(w *netWorker, lo, hi int) {
 	t := &e.tags
 	sim := e.settleNow
 	b := e.budget
-	var switches, chunks, lag int64
 	for i := lo; i < hi; i++ {
 		ts := &t.stats[i]
+		w.offered += int64(ts.FramesOffered)
+		w.delivered += int64(ts.FramesDelivered)
+		w.dropped += int64(ts.FramesDropped)
+		q := int64(t.queue[i])
 		if f := e.fade; f != nil {
 			nr := f.nr
 			ts.RateChunks = f.rateChunks[i*nr : (i+1)*nr : (i+1)*nr]
@@ -1214,16 +1252,18 @@ func (e *engine) drainShard(lo, hi int) {
 			if f.invMult[i] > 0 {
 				ts.MeanRateMult = float64(ts.AdaptChunks) / f.invMult[i]
 			}
-			switches += ts.RateSwitches
-			chunks += ts.AdaptChunks
-			lag += ts.AdaptLagChunks
+			w.switches += ts.RateSwitches
+			w.chunks += ts.AdaptChunks
+			w.lag += ts.AdaptLagChunks
 		}
 		if c := e.cong; c != nil {
+			q += int64(c.retxQ[i])
 			ts.CwndFinal = c.cwnd[i]
 			if c.srtt[i] > 0 {
 				ts.SRTTRounds = c.srtt[i]
 			}
 		}
+		w.backlog[t.reader[i]] += q
 		b.SetState(t.energyJ[i], t.outageT[i], e.budgetT)
 		ts.OutageFraction = b.OutageFraction()
 		ts.Alive = t.alive[i]
@@ -1231,10 +1271,6 @@ func (e *engine) drainShard(lo, hi int) {
 			ts.LifetimeS = sim
 		}
 	}
-	s := &e.pool.adaptSums
-	s[0].Add(switches)
-	s[1].Add(chunks)
-	s[2].Add(lag)
 }
 
 // String summarises a run for logs.

@@ -48,9 +48,8 @@ const (
 	// placement and waypoint draws, parking the root stream, and the
 	// large column allocations; shards are tasks (setupTask).
 	phaseSetup
-	// phaseContend finds each ALOHA cell's contenders ahead of the
-	// serial slot draws; shards are ranges of the cells' association
-	// lists.
+	// phaseContend marks the round's ALOHA contenders ahead of the
+	// serial slot draws; shards are tag ranges.
 	phaseContend
 	// phaseWalk moves the waypoint walkers that have not arrived;
 	// shards are tag ranges.
@@ -114,6 +113,12 @@ type netWorker struct {
 	deriveBlock          int
 	dist, gain           []float64
 	bestG, noiseW, snrDB []float64
+	// Drain-phase sums over the tags this worker finalised: the frame
+	// counters, the adaptation counters and each reader's stranded
+	// backlog (drainShard).
+	offered, delivered, dropped int64
+	switches, chunks, lag       int64
+	backlog                     []int64
 }
 
 type pool struct {
@@ -127,17 +132,15 @@ type pool struct {
 	// anyQueued is OR'd by settle shards: true when some live tag still
 	// holds a frame (drives closed-loop termination). Order-free.
 	anyQueued atomic.Bool
-	// adaptSums totals the drain shards' RateSwitches, AdaptChunks and
-	// AdaptLagChunks while each row is in cache. Integer, so order-free.
-	adaptSums [3]atomic.Int64
 }
 
 // start builds the worker scratch and parks workers-1 helper
 // goroutines on the dispatch channel (the main goroutine is
-// workers[0]). The lanes' protocol scratch is primed here so first use
-// never allocates — an allocation on first use would land on whichever
-// worker happened to claim the first frame, making allocation counts
-// scheduling-dependent.
+// workers[0]). It runs before the set-up phase, so it sizes everything
+// from the scenario; newEngine primes the lanes' protocol scratch after
+// set-up, so first use never allocates — an allocation on first use
+// would land on whichever worker happened to claim the first frame,
+// making allocation counts scheduling-dependent.
 //
 //fdlint:workerpool
 func (p *pool) start(e *engine, workers int) {
@@ -148,7 +151,7 @@ func (p *pool) start(e *engine, workers int) {
 	// Validate caps the reader count at 64, so a block holds at least
 	// 8 tags; a small run's scratch shrinks to its tag count.
 	block := max(1, deriveBlockGains/R)
-	nb := min(e.tags.len(), block)
+	nb := min(e.sc.Tags, block)
 	for i := range p.workers {
 		w := &netWorker{
 			serve: make([]serveAcc, R),
@@ -159,12 +162,13 @@ func (p *pool) start(e *engine, workers int) {
 			bestG:       make([]float64, nb),
 			noiseW:      make([]float64, nb),
 			snrDB:       make([]float64, nb),
+
+			backlog: make([]int64, R),
 		}
 		if e.acc != nil {
 			w.busy = &e.acc.busy[i]
 		}
-		w.lanes.init(e)
-		if e.sched != nil {
+		if e.sc.Readers.Policy != PolicyAloha {
 			w.grantIdx = make([]int32, 0, cw)
 			w.grantMetric = make([]float64, 0, cw)
 		}
@@ -187,8 +191,11 @@ func (p *pool) stop() { close(p.workCh) }
 
 // shardCount returns the number of shards the phase divides into.
 func (p *pool) shardCount(ph phaseKind) int {
-	if ph == phaseGrants {
+	switch ph {
+	case phaseGrants:
 		return len(p.e.activeCells)
+	case phaseSetup:
+		return numSetupTasks
 	}
 	return (p.e.tags.len() + tagShardLen - 1) / tagShardLen
 }
@@ -242,6 +249,8 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 		switch ph {
 		case phaseGrants:
 			e.runPolicyCell(w, s)
+		case phaseSetup:
+			e.setupTask(s)
 		default:
 			lo := s * tagShardLen
 			hi := lo + tagShardLen
@@ -258,9 +267,13 @@ func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 			case phaseSettle:
 				e.settleShard(lo, hi)
 			case phaseDrain:
-				e.drainShard(lo, hi)
+				e.drainShard(w, lo, hi)
 			case phaseCong:
 				e.congShard(w, lo, hi)
+			case phaseContend:
+				e.contendShard(lo, hi)
+			case phaseWalk:
+				e.walk.move(e.tags.pos, lo, hi, e.tagBits)
 			}
 		}
 	}

@@ -272,8 +272,8 @@ func TestDrawSlotsClassifiesExactly(t *testing.T) {
 			t.Fatal(err)
 		}
 		root := simrand.New(5)
-		placeSrc, trafficSrc, slotSrc := root.Split(), root.Split(), root.Split()
-		e, err := newEngine(sc, 5, 1, root, placeSrc, nil)
+		placeSrc, trafficSrc, slotSrc, mobilitySrc := root.Split(), root.Split(), root.Split(), root.Split()
+		e, err := newEngine(sc, 5, 1, root, placeSrc, mobilitySrc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestDrawSlotsClassifiesExactly(t *testing.T) {
 		var seen cellAcc
 		for round := 0; round < 40; round++ {
 			e.curRound = round
-			e.openRound(nil, nil)
+			e.openRound(nil)
 			e.arrive(trafficSrc)
 			copy(prev, e.rstats)
 			e.drawSlots(slotSrc)

@@ -100,7 +100,8 @@ type fadeState struct {
 	rates []rateadapt.RateSpec
 	nr    int
 	rho   float64
-	fdFB  bool // adapter consumes per-chunk feedback (fd)
+	sigma float64 // rateadapt.FadeSigma(rho)
+	fdFB  bool    // adapter consumes per-chunk feedback (fd)
 
 	// h is the small-scale fading state; it persists across mobility
 	// epochs, which move only the mean.
@@ -139,6 +140,7 @@ func newFadeState(spec RateAdaptSpec, n int, seed uint64) *fadeState {
 		rates:      spec.Rates,
 		nr:         nr,
 		rho:        spec.FadeRho,
+		sigma:      rateadapt.FadeSigma(spec.FadeRho),
 		fdFB:       spec.Adapter == RateAdaptFD,
 		h:          make([]complex128, n),
 		fadeSrc:    make([]simrand.Source, n),

@@ -17,6 +17,7 @@ package netsim
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/mac"
 	"repro/internal/rateadapt"
@@ -283,7 +284,7 @@ func (e *engine) advanceFade(i int32, n int) complex128 {
 	f := e.fade
 	h := f.h[i]
 	for range n {
-		h = rateadapt.FadeStep(h, f.rho, &f.fadeSrc[i])
+		h = rateadapt.FadeStep(h, f.rho, f.sigma, &f.fadeSrc[i])
 	}
 	f.h[i] = h
 	return h
@@ -397,12 +398,11 @@ func applyKernel(x []float64, kernel func(dst, x []float64) int, scalar func(flo
 // serveShard is the parallel body of the ALOHA serve phase for tags
 // [lo, hi): each contender whose reader's cell is open either won its
 // slot alone (its bit is not in the cell's slotMany set), and is
-// served, or collided, and is charged. It relies on two invariants:
-// t.reader[i] == r exactly when i is in cellTags(r) (deriveLinks
-// rebuilds the CSR index from t.reader, which nothing else writes), and
-// contends(i) cannot change between drawSlots and this pass (only tag
-// i's own exchange below writes the state it reads, and only after the
-// check). So this pass visits exactly the tags drawSlots drew for.
+// served, or collided, and is charged. The contenders are the tags
+// drawSlots' contender pass marked in tagBits, so this pass visits
+// exactly the tags drawSlots drew for (t.reader[i] == r exactly when i
+// is in cellTags(r): deriveLinks rebuilds the CSR index from t.reader,
+// which nothing else writes).
 // Service order is free: everything a singleton exchange writes belongs
 // to its tag (queue, stats, stream words, fade and congestion rows) or
 // is an integer sum in this worker's serve row for the cell, and a tag
@@ -416,26 +416,28 @@ func applyKernel(x []float64, kernel func(dst, x []float64) int, scalar func(flo
 func (e *engine) serveShard(w *netWorker, lo, hi int) {
 	t := &e.tags
 	nw := e.slotWords
-	for i := lo; i < hi; i++ {
-		if !e.contends(int32(i)) {
-			continue
+	// lo is a multiple of 64, and no bit at or past the tag count is
+	// ever set.
+	for k, word := range e.tagBits[lo>>6 : (hi+63)>>6] {
+		for ; word != 0; word &= word - 1 {
+			i := lo + k<<6 + bits.TrailingZeros64(word)
+			ci := int(e.cellOf[t.reader[i]])
+			if ci < 0 {
+				continue
+			}
+			s := e.slotChoice[i]
+			if e.slotMany[ci*nw+int(s>>6)]&(uint64(1)<<(s&63)) == 0 {
+				e.serve(w, ci, int32(i))
+				continue
+			}
+			// A colliding tag was on air until the reader shut the slot
+			// down, so it pays the transmit energy for that airtime at
+			// round-end settlement just like a singleton winner does — the
+			// frame itself stays queued.
+			t.stats[i].Collisions++
+			t.txCount[i]++
+			t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
 		}
-		ci := int(e.cellOf[t.reader[i]])
-		if ci < 0 {
-			continue
-		}
-		s := e.slotChoice[i]
-		if e.slotMany[ci*nw+int(s>>6)]&(uint64(1)<<(s&63)) == 0 {
-			e.serve(w, ci, int32(i))
-			continue
-		}
-		// A colliding tag was on air until the reader shut the slot
-		// down, so it pays the transmit energy for that airtime at
-		// round-end settlement just like a singleton winner does — the
-		// frame itself stays queued.
-		t.stats[i].Collisions++
-		t.txCount[i]++
-		t.txDt[i] += float64(e.collisionCost) * e.secondsPerByte
 	}
 	e.flushLanes(w)
 }

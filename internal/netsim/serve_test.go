@@ -27,13 +27,12 @@ func BenchmarkServe(b *testing.B) {
 	for range b.N {
 		b.StopTimer()
 		root := simrand.New(seed)
-		placeSrc, trafficSrc, slotSrc := root.Split(), root.Split(), root.Split()
-		root.Split() // mobility
-		e, err := newEngine(sc, seed, 1, root, placeSrc, nil)
+		placeSrc, trafficSrc, slotSrc, mobilitySrc := root.Split(), root.Split(), root.Split(), root.Split()
+		e, err := newEngine(sc, seed, 1, root, placeSrc, mobilitySrc, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.openRound(nil, nil)
+		e.openRound(nil)
 		e.arrive(trafficSrc)
 		e.drawSlots(slotSrc)
 		b.StartTimer()

@@ -42,70 +42,111 @@ func (p Position) Distance() float64 { return math.Hypot(p.X, p.Y) }
 // anchors supplies the reader positions for TopologyCells; the other
 // topologies ignore it.
 func PlaceTags(topology string, n int, radiusM float64, clusters int, spreadM float64, anchors []Position, src *simrand.Source) ([]Position, error) {
+	if err := checkPlacement(topology, n, radiusM, anchors); err != nil {
+		return nil, err
+	}
+	out := make([]Position, n)
+	drawPlacement(out, topology, radiusM, clusters, spreadM, anchors, src)
+	if polarTopology(topology) {
+		polarToXY(out)
+	}
+	return out, nil
+}
+
+// polarTopology reports whether drawPlacement leaves the topology's
+// positions as polar pairs for polarToXY.
+func polarTopology(topology string) bool { return topology == TopologyUniformDisc }
+
+// checkPlacement rejects what PlaceTags cannot place.
+func checkPlacement(topology string, n int, radiusM float64, anchors []Position) error {
 	if n <= 0 {
-		return nil, fmt.Errorf("netsim: tag count %d must be positive", n)
+		return fmt.Errorf("netsim: tag count %d must be positive", n)
 	}
 	if radiusM <= 0 {
-		return nil, fmt.Errorf("netsim: radius %g must be positive", radiusM)
+		return fmt.Errorf("netsim: radius %g must be positive", radiusM)
 	}
+	switch topology {
+	case TopologyGrid, TopologyUniformDisc, TopologyClustered:
+	case TopologyCells:
+		if len(anchors) == 0 {
+			return fmt.Errorf("netsim: topology %q needs at least one reader anchor", TopologyCells)
+		}
+	default:
+		return fmt.Errorf("netsim: unknown topology %q (want %s, %s, %s or %s)",
+			topology, TopologyGrid, TopologyUniformDisc, TopologyClustered, TopologyCells)
+	}
+	return nil
+}
+
+// drawPlacement fills out with a checked topology's positions, drawing
+// from src in tag order. The uniform disc leaves each tag's polar
+// (radius, angle) in its slot (polarTopology): the draws are serial,
+// but the Sincos of a drawn angle is not, so the engine converts them
+// with polarToXY in its sharded init.
+func drawPlacement(out []Position, topology string, radiusM float64, clusters int, spreadM float64, anchors []Position, src *simrand.Source) {
 	if spreadM <= 0 {
 		spreadM = radiusM / 8
 	}
 	switch topology {
 	case TopologyGrid:
-		return placeGrid(n, radiusM), nil
+		placeGrid(out, radiusM)
 	case TopologyUniformDisc:
-		return placeUniformDisc(n, radiusM, src), nil
+		drawDiscPolar(out, radiusM, src)
 	case TopologyClustered:
 		if clusters <= 0 {
 			clusters = 3
 		}
-		return placeClustered(n, radiusM, clusters, spreadM, src), nil
+		placeClustered(out, radiusM, clusters, spreadM, src)
 	case TopologyCells:
-		if len(anchors) == 0 {
-			return nil, fmt.Errorf("netsim: topology %q needs at least one reader anchor", TopologyCells)
-		}
-		return placeAnchored(n, anchors, spreadM, src), nil
-	default:
-		return nil, fmt.Errorf("netsim: unknown topology %q (want %s, %s, %s or %s)",
-			topology, TopologyGrid, TopologyUniformDisc, TopologyClustered, TopologyCells)
+		placeAnchored(out, anchors, spreadM, src)
 	}
 }
 
 // placeGrid fills a ceil(sqrt(n)) lattice over [-R, R]^2 row-major. A
 // cell landing on the origin is harmless: the path loss model clamps
 // distances below its MinDistanceM.
-func placeGrid(n int, r float64) []Position {
-	side := int(math.Ceil(math.Sqrt(float64(n))))
-	out := make([]Position, 0, n)
-	for i := 0; i < side && len(out) < n; i++ {
-		for j := 0; j < side && len(out) < n; j++ {
+func placeGrid(out []Position, r float64) {
+	side := int(math.Ceil(math.Sqrt(float64(len(out)))))
+	k := 0
+	for i := 0; i < side && k < len(out); i++ {
+		for j := 0; j < side && k < len(out); j++ {
 			// Cell centres: side points evenly spread across [-r, r].
 			x := -r + (2*r)*(float64(j)+0.5)/float64(side)
 			y := -r + (2*r)*(float64(i)+0.5)/float64(side)
-			out = append(out, Position{X: x, Y: y})
+			out[k] = Position{X: x, Y: y}
+			k++
 		}
 	}
-	return out
 }
 
-func placeUniformDisc(n int, r float64, src *simrand.Source) []Position {
-	out := make([]Position, n)
+// drawDiscPolar draws area-uniform points in the disc of radius r, in
+// order, as polar pairs: X holds the radius, Y the angle.
+func drawDiscPolar(out []Position, r float64, src *simrand.Source) {
 	for i := range out {
 		// Area-uniform: radius ~ r*sqrt(u).
 		rad := r * math.Sqrt(src.Float64())
 		th := 2 * math.Pi * src.Float64()
-		// One argument reduction for both; bit for bit Cos and Sin
-		// (TestSincosMatchesCosSin).
-		sin, cos := math.Sincos(th)
-		out[i] = Position{X: rad * cos, Y: rad * sin}
+		out[i] = Position{X: rad, Y: th}
 	}
-	return out
 }
 
-func placeClustered(n int, r float64, clusters int, spread float64, src *simrand.Source) []Position {
-	centres := placeUniformDisc(clusters, r*0.75, src)
-	out := make([]Position, n)
+// polarToXY converts drawDiscPolar's pairs to Cartesian positions in
+// place.
+//
+//fdlint:noalloc
+func polarToXY(p []Position) {
+	for i, v := range p {
+		// One argument reduction for both; bit for bit Cos and Sin
+		// (TestSincosMatchesCosSin).
+		sin, cos := math.Sincos(v.Y)
+		p[i] = Position{X: v.X * cos, Y: v.X * sin}
+	}
+}
+
+func placeClustered(out []Position, r float64, clusters int, spread float64, src *simrand.Source) {
+	centres := make([]Position, clusters)
+	drawDiscPolar(centres, r*0.75, src)
+	polarToXY(centres)
 	for i := range out {
 		c := centres[i%clusters]
 		p := Position{
@@ -121,15 +162,13 @@ func placeClustered(n int, r float64, clusters int, spread float64, src *simrand
 		}
 		out[i] = p
 	}
-	return out
 }
 
 // placeAnchored scatters tags round-robin around fixed anchor points
 // (reader positions) with a Gaussian spread. Unlike placeClustered the
 // centres are not random, so the deployment mirrors the reader cells
 // exactly.
-func placeAnchored(n int, anchors []Position, spread float64, src *simrand.Source) []Position {
-	out := make([]Position, n)
+func placeAnchored(out []Position, anchors []Position, spread float64, src *simrand.Source) {
 	for i := range out {
 		c := anchors[i%len(anchors)]
 		out[i] = Position{
@@ -137,5 +176,4 @@ func placeAnchored(n int, anchors []Position, spread float64, src *simrand.Sourc
 			Y: c.Y + src.Gaussian(0, spread),
 		}
 	}
-	return out
 }

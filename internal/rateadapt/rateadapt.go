@@ -70,9 +70,18 @@ func ChunkLossProbs(r RateSpec, dst, snrDB []float64) {
 // FadeStep advances a unit-mean-power Gauss-Markov fading coefficient
 // one chunk-time: h' = rho*h + CN(0, 1-rho^2). This is the trace
 // model's recursion, exported so other engines (the netsim scenario
-// engine) evolve exactly the same channel.
-func FadeStep(h complex128, rho float64, src *simrand.Source) complex128 {
-	return complex(rho, 0)*h + src.RayleighCoeff(1-rho*rho)
+// engine) evolve exactly the same channel. sigma is FadeSigma(rho),
+// the innovation's per-component deviation, which is fixed for a run:
+// the step draws the same two normals src.RayleighCoeff(1-rho*rho)
+// would and scales them by the same sigma.
+func FadeStep(h complex128, rho, sigma float64, src *simrand.Source) complex128 {
+	return complex(rho, 0)*h + complex(sigma*src.Normal(), sigma*src.Normal())
+}
+
+// FadeSigma is the per-component deviation of FadeStep's innovation,
+// sqrt((1-rho^2)/2), as simrand.ComplexNormal computes it.
+func FadeSigma(rho float64) float64 {
+	return math.Sqrt((1 - rho*rho) / 2)
 }
 
 // FadeGainDB is a fading coefficient's instantaneous power gain in dB,
@@ -311,12 +320,13 @@ func RunTrace(cfg SimConfig, a Adapter, nChunks int) TraceResult {
 	// Gauss-Markov complex fading; instantaneous SNR = mean * |h|^2.
 	h := src.RayleighCoeff(1)
 	rho := cfg.FadeRho
+	sigma := FadeSigma(rho)
 	frameOK := true
 	chunkInFrame := 0
 	prevRate := a.Rate()
 	for i := 0; i < nChunks; i++ {
 		// Advance the fading process one chunk-time.
-		h = FadeStep(h, rho, src)
+		h = FadeStep(h, rho, sigma, src)
 		snrDB := cfg.MeanSNRdB + FadeGainDB(h)
 
 		ri := a.Rate()

@@ -283,3 +283,22 @@ func TestAdapterStateReplayMatchesWholeStruct(t *testing.T) {
 		t.Fatalf("replay visited rates %v: want every rate of the table", visited)
 	}
 }
+
+// TestFadeStepMatchesRayleighInnovation holds FadeStep, with the
+// deviation precomputed once by FadeSigma, to the recursion it stands
+// for, rho*h + CN(0, 1-rho^2) drawn by RayleighCoeff, bit for bit over
+// a chain of steps for each rho.
+func TestFadeStepMatchesRayleighInnovation(t *testing.T) {
+	for _, rho := range []float64{0, 0.3, 0.9, 0.95, 0.999} {
+		a, b := simrand.New(11), simrand.New(11)
+		sigma := FadeSigma(rho)
+		h, want := complex(0.6, -0.2), complex(0.6, -0.2)
+		for k := 0; k < 1000; k++ {
+			h = FadeStep(h, rho, sigma, a)
+			want = complex(rho, 0)*want + b.RayleighCoeff(1-rho*rho)
+			if math.Float64bits(real(h)) != math.Float64bits(real(want)) || math.Float64bits(imag(h)) != math.Float64bits(imag(want)) {
+				t.Fatalf("rho %v step %d: FadeStep = %v, rho*h + RayleighCoeff = %v", rho, k, h, want)
+			}
+		}
+	}
+}

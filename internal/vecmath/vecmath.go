@@ -1,16 +1,19 @@
 // Package vecmath holds the batch kernels behind the link-budget and
-// envelope passes: Log, Exp, Hypot, complex Abs and a floor-aware Div.
+// envelope passes: Log, Exp, Hypot, complex Abs, a floor-aware Div and
+// Erfc.
 //
 // Every element a kernel writes equals, bit for bit, what the scalar
 // routine it stands for returns in the running process (math.Log,
-// math.Exp, math.Hypot, cmplx.Abs, x/y). On amd64 with AVX2 the
+// math.Exp, math.Hypot, cmplx.Abs, x/y, math.Erfc). On amd64 with AVX2 the
 // kernels run four float64 lanes at a time in assembly that performs
 // the same operations in the same order as Go's own amd64 math
 // routines, which are straight-line code; Exp also needs FMA, because
 // math.Exp takes its FMA path when the CPU has one, and an init-time
-// check against math.Exp turns the vector Exp off on any mismatch. On
-// other architectures, and under the purego build tag, each kernel is
-// a plain loop over math.
+// check against math.Exp turns the vector Exp off on any mismatch.
+// Erfc is branchy pure Go in math, so its kernel is Go too: it groups
+// the lanes by branch and sends the tail branches' Exps through Exp
+// (erfc.go). On other architectures, and under the purego build tag,
+// each kernel is a plain loop over math.
 //
 // # Contract
 //
@@ -27,6 +30,7 @@
 //	Hypot  p or q infinite or NaN
 //	Abs    a real or imaginary part infinite or NaN
 //	Div    y < floor
+//	Erfc   none: every lane is evaluated
 //
 // Both the assembly and the generic path stop at the same group, so the
 // count does not depend on the CPU. The caller finishes that group (or
@@ -54,6 +58,7 @@ import (
 var (
 	useAVX2 bool // Log, Hypot, Abs, Div
 	useExp  bool // Exp: AVX2, FMA and agreement with math.Exp
+	useErfc bool // Erfc's grouped body: amd64, where gc fuses no multiply-add
 )
 
 // Log sets dst[k] = math.Log(x[k]) over the leading groups of four

@@ -31,6 +31,7 @@ func init() {
 	avx2, fma := cpuFeatures()
 	useAVX2 = avx2
 	useExp = avx2 && fma && expMatchesMath()
+	useErfc = true
 }
 
 // cpuFeatures reports whether the CPU and OS support AVX2 (YMM state

@@ -11,16 +11,17 @@ import (
 // paths runs f once on the dispatch the CPU chose and once on the
 // generic bodies, restoring the switches afterwards.
 func paths(t testing.TB, f func(t testing.TB, path string)) {
-	f(t, fmt.Sprintf("dispatch(avx2=%v,exp=%v)", useAVX2, useExp))
-	avx2, exp := useAVX2, useExp
-	useAVX2, useExp = false, false
-	defer func() { useAVX2, useExp = avx2, exp }()
+	f(t, fmt.Sprintf("dispatch(avx2=%v,exp=%v,erfc=%v)", useAVX2, useExp, useErfc))
+	avx2, exp, erfc := useAVX2, useExp, useErfc
+	useAVX2, useExp, useErfc = false, false, false
+	defer func() { useAVX2, useExp, useErfc = avx2, exp, erfc }()
 	f(t, "generic")
 }
 
 // edge holds the inputs next to every branch of the scalar routines:
 // signed zeros, denormals, infinities, NaN payloads, Log's f1 ==
-// Sqrt2/2 boundary, and Exp's overflow and denormal-result bounds.
+// Sqrt2/2 boundary, Exp's overflow and denormal-result bounds, and
+// Erfc's branch edges.
 var edge = func() []float64 {
 	bits := []uint64{
 		0, 1 << 63, 1, 1<<63 | 1, 0x000FFFFFFFFFFFFF, 0x0008000000000000,
@@ -44,6 +45,7 @@ var edge = func() []float64 {
 		-708.39, -708.4, -708.5, -709.09, -709.1, -720, -744.44, -745.13, -745.2, -748, -1e300,
 		1022.5 / log2e, 1023.5 / log2e, -1022.5 / log2e, -1023.5 / log2e,
 		0.5, 1, 2, math.E, -1, 1e-300, 1e300, math.Pi,
+		0x1p-56, 0.25, 0.84375, 1.25, 1 / 0.35, 6, 28,
 	} {
 		v = append(v, x, -x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
 	}
@@ -126,6 +128,10 @@ var kernels = []kernel{
 		func(dst []float64, in [][]float64) int { return Div(dst, in[0], in[1], divFloor) },
 		func(in [][]float64, i int) float64 { return in[0][i] / in[1][i] },
 		func(in [][]float64, i int) bool { return in[1][i] < divFloor }},
+	{"Erfc", 1,
+		func(dst []float64, in [][]float64) int { return Erfc(dst, in[0]) },
+		func(in [][]float64, i int) float64 { return math.Erfc(in[0][i]) },
+		func(in [][]float64, i int) bool { return false }},
 }
 
 // zip pairs in[0] and in[1] as complex values.
@@ -356,6 +362,7 @@ func TestKernelsAllocFree(t *testing.T) {
 			Hypot(dst, x, y)
 			Abs(dst, z)
 			Div(dst, x, y, divFloor)
+			Erfc(dst, x)
 		}); a != 0 {
 			t.Errorf("%s: %v allocs per run, want 0", path, a)
 		}
@@ -460,6 +467,49 @@ func BenchmarkAbs(b *testing.B) {
 		for range b.N {
 			for i, v := range z {
 				dst[i] = cmplx.Abs(v)
+			}
+		}
+	})
+}
+
+// TestErfcDenseRanges compares Erfc lane by lane over dense sweeps
+// across every branch edge, both signs, so each group mixes branches.
+func TestErfcDenseRanges(t *testing.T) {
+	paths(t, func(t testing.TB, path string) {
+		x := make([]float64, 1031)
+		dst := make([]float64, len(x))
+		for _, span := range [][2]float64{{-30, 30}, {-7, 7}, {-1.5, 1.5}, {-1e-16, 1e-16}, {27, 29}} {
+			for i := range x {
+				x[i] = span[0] + (span[1]-span[0])*float64(i)/float64(len(x)-1)
+			}
+			n := Erfc(dst, x)
+			if n != len(x)&^3 {
+				t.Fatalf("%s Erfc over %v: wrote %d, want %d", path, span, n, len(x)&^3)
+			}
+			for i := range n {
+				if !same(dst[i], math.Erfc(x[i])) {
+					t.Fatalf("%s Erfc(%v) = %v, math.Erfc = %v", path, x[i], dst[i], math.Erfc(x[i]))
+				}
+			}
+		}
+	})
+}
+
+func BenchmarkErfc(b *testing.B) {
+	x, _, _ := benchInputs()
+	for i := range x {
+		x[i] /= 10 // every branch: |x| up to 3
+	}
+	dst := make([]float64, len(x))
+	b.Run("kernel", func(b *testing.B) {
+		for range b.N {
+			Erfc(dst, x)
+		}
+	})
+	b.Run("math", func(b *testing.B) {
+		for range b.N {
+			for i, v := range x {
+				dst[i] = math.Erfc(v)
 			}
 		}
 	})
