@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/netsim"
 )
 
 // TestOverrideExitCodes pins fdnet's exit code for every override flag:
@@ -102,5 +104,29 @@ func TestUsageExitCodes(t *testing.T) {
 		if code := run(c.args, &out, &errb); code != c.want {
 			t.Errorf("fdnet %s: exit %d, want %d; stderr %q", strings.Join(c.args, " "), code, c.want, errb.String())
 		}
+	}
+}
+
+// TestPhasesLeavesStdout checks that -phases prints the phase table to
+// stderr, one row per engine phase, and leaves stdout byte-identical.
+func TestPhasesLeavesStdout(t *testing.T) {
+	args := []string{"-preset", "mobile-fleet", "-workers", "2"}
+	var plain, phased, errPlain, errPhased bytes.Buffer
+	if code := run(args, &plain, &errPlain); code != 0 {
+		t.Fatalf("fdnet %s: exit %d; stderr %q", strings.Join(args, " "), code, errPlain.String())
+	}
+	if code := run(append(args, "-phases"), &phased, &errPhased); code != 0 {
+		t.Fatalf("fdnet -phases: exit %d; stderr %q", code, errPhased.String())
+	}
+	if !bytes.Equal(plain.Bytes(), phased.Bytes()) {
+		t.Fatal("-phases changed stdout")
+	}
+	for _, name := range netsim.PhaseNames() {
+		if !strings.Contains(errPhased.String(), "\n"+name+" ") {
+			t.Errorf("stderr lists no %q phase:\n%s", name, errPhased.String())
+		}
+	}
+	if !strings.Contains(errPhased.String(), "phases cover ") {
+		t.Errorf("stderr has no coverage line:\n%s", errPhased.String())
 	}
 }

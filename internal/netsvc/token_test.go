@@ -101,30 +101,59 @@ func FuzzDecodeResumeToken(f *testing.F) {
 	})
 }
 
-// TestStreamAllocBudget bounds the heap allocated per streamed line:
-// round lines must not re-marshal the scenario for their tokens.
+// TestStreamAllocBudget bounds the heap a stream allocates: per line,
+// so round lines cannot re-marshal the scenario for their tokens, and
+// per run, for the engine and encoder set-up. The per-line cost is the
+// difference between two stream lengths of the same scenario over the
+// difference in their line counts, so set-up does not count against
+// it; each length takes the least of three runs, so a GC cycle landing
+// inside one run does not either.
 func TestStreamAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector randomly drops sync.Pool entries, so allocation is not a property of the code")
 	}
+	const perLineBudget, setupBudget = 2048, 40 << 10
 	s := New(Config{Workers: 1})
-	body := presetJSON(t, "fading-aisle")
-	var buf bytes.Buffer
-	if _, err := s.ReferenceStream(body, 1, &buf); err != nil {
+	sc, err := netsim.Preset("fading-aisle")
+	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.Count(buf.Bytes(), []byte("\n"))
-	buf.Reset() // keep the grown buffer out of the measured run
-
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := s.ReferenceStream(body, 1, &buf); err != nil {
-		t.Fatal(err)
+	// Enough frames that the closed loop never drains: every run lasts
+	// MaxRounds.
+	sc.FramesPerTag = 1 << 12
+	measure := func(rounds int) (alloc uint64, lines int) {
+		sc.MaxRounds = rounds
+		body, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := s.ReferenceStream(body, 1, &buf); err != nil {
+			t.Fatal(err)
+		}
+		lines = bytes.Count(buf.Bytes(), []byte("\n"))
+		alloc = math.MaxUint64
+		for range 3 {
+			buf.Reset() // keep the grown buffer out of the measured run
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := s.ReferenceStream(body, 1, &buf); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+		}
+		return alloc, lines
 	}
-	runtime.ReadMemStats(&after)
-	perLine := float64(after.TotalAlloc-before.TotalAlloc) / float64(lines)
-	t.Logf("%.0f B allocated per line over %d lines", perLine, lines)
-	if perLine > 2048 {
-		t.Errorf("%.0f B allocated per streamed line, budget 2048", perLine)
+	shortB, shortL := measure(16)
+	longB, longL := measure(80)
+	perLine := float64(longB-shortB) / float64(longL-shortL)
+	setup := float64(shortB) - perLine*float64(shortL)
+	t.Logf("%.0f B allocated per line (%d and %d lines), %.0f B per run", perLine, shortL, longL, setup)
+	if perLine > perLineBudget {
+		t.Errorf("%.0f B allocated per streamed line, budget %d", perLine, perLineBudget)
+	}
+	if setup > setupBudget {
+		t.Errorf("%.0f B allocated per stream outside its lines, budget %d", setup, setupBudget)
 	}
 }
