@@ -9,6 +9,7 @@ package simrand
 
 import (
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -80,8 +81,27 @@ func (s *Source) Float64() float64 { return s.f64() }
 // Uint64 returns a uniform 64-bit value.
 func (s *Source) Uint64() uint64 { return s.pcg.Uint64() }
 
-// IntN returns a uniform value in [0, n). It panics if n <= 0.
-func (s *Source) IntN(n int) int { return rand.New(&s.pcg).IntN(n) }
+// IntN returns a uniform value in [0, n). It panics if n <= 0. It is
+// math/rand/v2's Rand.IntN over the source's PCG, draw for draw
+// (Lemire's multiply-shift with its rejection step), without the
+// interface call a rand.Rand makes for every word.
+func (s *Source) IntN(n int) int {
+	if n <= 0 {
+		panic("invalid argument to IntN")
+	}
+	un := uint64(n)
+	if un&(un-1) == 0 { // a power of two: mask
+		return int(s.pcg.Uint64() & (un - 1))
+	}
+	hi, lo := bits.Mul64(s.pcg.Uint64(), un)
+	if lo < un {
+		thresh := -un % un
+		for lo < thresh {
+			hi, lo = bits.Mul64(s.pcg.Uint64(), un)
+		}
+	}
+	return int(hi)
+}
 
 // Bit returns 0 or 1 with equal probability.
 func (s *Source) Bit() byte { return byte(s.pcg.Uint64() & 1) }

@@ -369,3 +369,21 @@ func TestFillNoiseMatchesNorm(t *testing.T) {
 		t.Fatal("sources diverged after FillNoise")
 	}
 }
+
+// TestIntNMatchesRand holds IntN to math/rand/v2's Rand.IntN on the
+// same PCG, draw for draw: powers of two (the mask path), small and
+// huge bounds (the rejection step runs when a product's low word falls
+// under the bound), and the contention-window sizes the engine draws.
+func TestIntNMatchesRand(t *testing.T) {
+	ns := []int{1, 2, 3, 7, 64, 1 << 18, 262139, 1<<62 + 1, 3 << 61, math.MaxInt64, math.MaxInt64 - 1}
+	for _, n := range ns {
+		s := New(uint64(n))
+		ref := *s
+		r := rand.New(&ref.pcg)
+		for k := 0; k < 20000; k++ {
+			if got, want := s.IntN(n), r.IntN(n); got != want {
+				t.Fatalf("IntN(%d) draw %d = %d, rand.IntN = %d", n, k, got, want)
+			}
+		}
+	}
+}
