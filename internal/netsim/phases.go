@@ -29,8 +29,7 @@ import (
 // the parallel phases are ever dispatched.
 const (
 	// phaseEngine is newEngine's serial part: reader placement, the
-	// small per-reader tables, the pool start, and the fault/policy
-	// state.
+	// per-reader tables, the pool start and the lanes' priming.
 	phaseEngine phaseKind = numParallelPhases + iota
 	// phaseAssoc rebuilds the CSR reader-cell index after a derive.
 	phaseAssoc
@@ -47,7 +46,8 @@ const (
 	phaseSlots
 	// phaseReduce folds the served windows into the round's clock.
 	phaseReduce
-	// phaseObserve runs the round observer.
+	// phaseObserve runs the round observer and resets the round's
+	// transmit columns.
 	phaseObserve
 	// phaseFold is drain's serial part: the per-reader rows and the
 	// order-dependent float sums.
@@ -87,15 +87,6 @@ var phaseOrder = [numPhases]phaseKind{
 	phaseSettle, phaseObserve, phaseDrain, phaseFold,
 }
 
-// PhaseNames lists the phase table's row names in table order.
-func PhaseNames() []string {
-	names := make([]string, len(phaseOrder))
-	for k, ph := range phaseOrder {
-		names[k] = phaseNames[ph]
-	}
-	return names
-}
-
 // PhaseTimes accumulates one run's wall time per engine phase: the
 // nanoseconds spent in it, how often it was entered (for a parallel
 // phase, its dispatches), and each worker's busy time in it. Attach
@@ -103,8 +94,6 @@ func PhaseNames() []string {
 type PhaseTimes struct {
 	clock func() int64
 
-	// on is false before the run's first switch and after its last.
-	on    bool
 	cur   phaseKind
 	since int64
 	ns    [numPhases]int64
@@ -142,7 +131,7 @@ func (p *PhaseTimes) begin(workers int, ph phaseKind) {
 		clear(p.busy)
 	}
 	p.ns, p.calls, p.rounds = [numPhases]int64{}, [numPhases]int64{}, 0
-	p.on, p.cur, p.since = true, ph, p.clock()
+	p.cur, p.since = ph, p.clock()
 	p.calls[ph]++
 }
 
@@ -164,7 +153,7 @@ func (p *PhaseTimes) enter(ph phaseKind) phaseKind {
 //
 //fdlint:noalloc
 func (p *PhaseTimes) resume(ph phaseKind) phaseKind {
-	if p == nil || !p.on {
+	if p == nil {
 		return ph
 	}
 	now := p.clock()
@@ -174,13 +163,11 @@ func (p *PhaseTimes) resume(ph phaseKind) phaseKind {
 	return prev
 }
 
-// end charges the last phase and stops the accumulator.
+// end charges the time since the last switch to the last phase.
 func (p *PhaseTimes) end() {
-	if p == nil || !p.on {
-		return
+	if p != nil {
+		p.resume(p.cur)
 	}
-	p.resume(p.cur)
-	p.on = false
 }
 
 // now reads the clock for a worker's busy time (0 without an
@@ -204,8 +191,8 @@ func (p *PhaseTimes) observe(*engine, *NetResult, int) error {
 	return nil
 }
 
-// Total returns the summed phase time in nanoseconds.
-func (p *PhaseTimes) Total() int64 {
+// total returns the summed phase time in nanoseconds.
+func (p *PhaseTimes) total() int64 {
 	var sum int64
 	for _, ns := range p.ns {
 		sum += ns
@@ -221,7 +208,7 @@ func (p *PhaseTimes) Total() int64 {
 // scenario. wallNS, when positive, is the caller's own measurement of
 // the run, and the last line says how much of it the phases cover.
 func (p *PhaseTimes) WriteTable(w io.Writer, wallNS int64) error {
-	total := p.Total()
+	total := p.total()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s %10s %6s %6s  %s\n", "phase", "ms", "share", "calls", "worker busy ms (max/mean)")
 	for _, ph := range phaseOrder {

@@ -37,7 +37,7 @@ func Erfc(dst, x []float64) int {
 
 // erfcBlock is the number of lanes erfcGrouped classifies at once: its
 // per-branch index lists and Exp scratch live on the stack.
-const erfcBlock = 128
+const erfcBlock = 64
 
 // The branches of math.Erfc, in order of |x|.
 const (
