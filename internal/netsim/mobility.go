@@ -58,11 +58,12 @@ func newWaypointWalk(n int, radius, step float64, src *simrand.Source) *waypoint
 	return w
 }
 
+// draw draws one new waypoint, converted.
 func (w *waypointWalk) draw() Position {
-	rad := w.radius * math.Sqrt(w.src.Float64())
-	th := 2 * math.Pi * w.src.Float64()
-	sin, cos := math.Sincos(th) // bit for bit Cos and Sin (TestSincosMatchesCosSin)
-	return Position{X: rad * cos, Y: rad * sin}
+	var p [1]Position
+	drawDiscPolar(p[:], w.radius, w.src)
+	polarToXY(p[:])
+	return p[0]
 }
 
 // move steps tags [lo, hi) one step toward their waypoints. A tag
