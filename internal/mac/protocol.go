@@ -454,10 +454,18 @@ func (s *FullDuplex) Name() string { return "full-duplex" }
 // Params so even the first frame is allocation-free. Engines that
 // keep one instance per worker call it at setup; without it, which
 // worker pays the first-frame allocation would depend on scheduling,
-// breaking their allocation accounting (never their results).
+// breaking their allocation accounting (never their results). The
+// scratch takes at least a cache line: a one-chunk frame's state is a
+// single byte, and the allocator packs small scratch of instances set
+// up one after another into one line, which the workers would then
+// write over each other on every chunk.
 func (s *FullDuplex) Prime() {
-	s.scratch(s.P.NumChunks())
+	n := s.P.NumChunks()
+	s.chunk = make([]uint8, n, max(n, cacheLine))
 }
+
+// cacheLine is the CPU cache-line size in bytes.
+const cacheLine = 64
 
 // The bits of a FullDuplex chunk entry.
 const (
