@@ -106,7 +106,8 @@ func TestUsageExitCodes(t *testing.T) {
 }
 
 // TestPhasesLeavesStdout checks that -phases prints the phase table to
-// stderr, one row per engine phase, and leaves stdout byte-identical.
+// stderr and leaves stdout byte-identical. The table's rows are
+// netsim's TestPhaseTimes to check.
 func TestPhasesLeavesStdout(t *testing.T) {
 	args := []string{"-preset", "mobile-fleet", "-workers", "2"}
 	var plain, phased, errPlain, errPhased bytes.Buffer
@@ -118,11 +119,6 @@ func TestPhasesLeavesStdout(t *testing.T) {
 	}
 	if !bytes.Equal(plain.Bytes(), phased.Bytes()) {
 		t.Fatal("-phases changed stdout")
-	}
-	for _, name := range strings.Fields("engine setup init derive assoc open walk arrive deadline cong contend slots serve grants reduce settle observe drain fold") {
-		if !strings.Contains(errPhased.String(), "\n"+name+" ") {
-			t.Errorf("stderr lists no %q phase:\n%s", name, errPhased.String())
-		}
 	}
 	if !strings.Contains(errPhased.String(), "phases cover ") {
 		t.Errorf("stderr has no coverage line:\n%s", errPhased.String())

@@ -928,14 +928,6 @@ func (e *engine) drawSlots(slotSrc *simrand.Source) {
 	}
 }
 
-// b2u is 1 for true and 0 for false; gc compiles it without a branch.
-func b2u(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // contendShard is the parallel body of the contender pass for tags
 // [lo, hi), which start on a word boundary: bit i of tagBits is set
 // when tag i contends this round.
@@ -943,23 +935,11 @@ func b2u(b bool) uint64 {
 //fdlint:parallel
 //fdlint:noalloc
 func (e *engine) contendShard(lo, hi int) {
-	t := &e.tags
 	for i0 := lo; i0 < hi; i0 += 64 {
-		n := min(64, hi-i0)
 		var word uint64
-		if e.flt == nil && e.cong == nil {
-			// contends without the optional layers, without a branch:
-			// alive with a backlog (queue is never negative).
-			alive, queue := t.alive[i0:i0+n], t.queue[i0:i0+n]
-			for j, a := range alive {
-				q := uint64(queue[j])
-				word |= b2u(a) & ((q | -q) >> 63) << j
-			}
-		} else {
-			for j := range n {
-				if e.contends(int32(i0 + j)) {
-					word |= 1 << j
-				}
+		for j := range min(64, hi-i0) {
+			if e.contends(int32(i0 + j)) {
+				word |= 1 << j
 			}
 		}
 		e.tagBits[i0>>6] = word
