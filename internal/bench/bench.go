@@ -89,7 +89,8 @@ func ByID(id string) (Experiment, error) {
 func List() []Experiment {
 	// Harvest and sort the registry keys before building the listing:
 	// IDs are unique, so the sorted keys induce a deterministic order
-	// no matter how the map iterates (fdlint: orderedrange).
+	// no matter how the map iterates (TestListOrdered and
+	// TestListDeterministic hold this).
 	ids := make([]string, 0, len(registry))
 	for id := range registry {
 		ids = append(ids, id)

@@ -40,9 +40,9 @@ func TestListOrdered(t *testing.T) {
 }
 
 // List builds its order by harvesting and sorting the registry map's
-// keys (the fdlint orderedrange contract): the full ID sequence must be
-// strictly sorted under idLess and byte-identical across calls —
-// ranging the map into the output would make both assertions flaky.
+// keys: the full ID sequence must be strictly sorted under idLess and
+// byte-identical across calls — ranging the map into the output would
+// make both assertions flaky.
 func TestListDeterministic(t *testing.T) {
 	first := List()
 	for i := 1; i < len(first); i++ {

@@ -368,8 +368,6 @@ func (l *Link) TransferFrame(payload []byte, opts TransferOptions) (*TransferRes
 // steady-state frame exchange allocation-free (see
 // TestTransferFrameIntoAllocFree in link_test.go). On error res is left
 // in an undefined state.
-//
-//fdlint:noalloc
 func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *TransferResult) error {
 	cfg := &l.cfg
 	hdr := phy.Header{
@@ -559,8 +557,6 @@ func (l *Link) TransferFrameInto(payload []byte, opts TransferOptions, res *Tran
 // the bit decoded during chunk i's airtime is chunk i-1's ACK (the bit
 // during chunk 0 is the header ACK; the flush bit is the final chunk's).
 // On the TestTransferFrameIntoAllocFree hot path.
-//
-//fdlint:noalloc
 func (l *Link) remapFeedback(res *TransferResult, flushBit byte, flushMargin float64, flushSeen bool, opts TransferOptions) {
 	if opts.DisableFeedback {
 		for i := range res.Chunks {

@@ -377,9 +377,11 @@ func TestEmptyPayloadTransfer(t *testing.T) {
 // frame exchange through a reused result must not allocate at all.
 // This is the contract the experiment harness relies on; any new
 // allocation in link/tag/reader/sigproc frame code trips this test.
-// TransferFrameInto and remapFeedback carry //fdlint:noalloc, so
-// `go run ./cmd/fdlint ./...` pinpoints the construct that would make
-// this test fail.
+// To find the allocating line when it fails, profile it and list the
+// frame path:
+//
+//	go test -run TestTransferFrameIntoAllocFree -memprofile mem.prof -memprofilerate 1 ./internal/core
+//	go tool pprof -sample_index=alloc_objects -list 'TransferFrameInto|remapFeedback' mem.prof
 func TestTransferFrameIntoAllocFree(t *testing.T) {
 	l, err := NewLink(LinkConfig{Modem: phy.OOK{SamplesPerChip: 4}, ChunkSize: 32, Seed: 1})
 	if err != nil {

@@ -12,12 +12,14 @@ import (
 // allocates), so compare whole runs that differ only in round count:
 // the extra rounds must contribute zero allocations.
 //
-// The functions on this path carry //fdlint:noalloc annotations (the
-// round phases openRound, arrive, drawSlots, reduceWindows, settle and
-// census; runPolicyCell, the serve lanes (serve, bindLane, stepLanes,
-// finishFrame) and the shard bodies, serveShard among them;
-// streamer.observe): `go run ./cmd/fdlint ./...` names the offending
-// construct at the line that would make this test fail.
+// Each round-loop path has a row: the round phases (openRound, arrive,
+// dropDeadlines, drawSlots, reduceWindows, settle, census), the policy
+// and ALOHA serve paths with their shard bodies, and streamer.observe.
+// To find the allocating line when a row fails, profile that row and
+// list the hot function:
+//
+//	go test -run 'TestRoundLoopAllocFree/deadline' -memprofile mem.prof -memprofilerate 1 ./internal/netsim
+//	go tool pprof -sample_index=alloc_objects -list 'dropDeadlines' mem.prof
 func TestRoundLoopAllocFree(t *testing.T) {
 	adapt := Scenario{
 		Name: "alloc-budget-adapt", Tags: 12, Topology: TopologyUniformDisc,
@@ -73,6 +75,15 @@ func TestRoundLoopAllocFree(t *testing.T) {
 			Readers:    ReaderSpec{Count: 2, Placement: ReaderLine, SpacingM: 10, Policy: PolicyPropFair},
 			Congestion: CongestionSpec{Controller: CongestionCubic},
 			Faults:     FaultSpec{OutageRate: 0.02, InterferenceRate: 0.05, ChurnRate: 0.01},
+		}},
+		// The deadline policy's pre-pass drops late head-of-line frames
+		// and its grants order by waiting time; both read columns sized
+		// at setup. Twelve tags per reader against a four-slot window
+		// keep frames waiting past the two-round deadline.
+		{name: "deadline", workers: 1, sc: Scenario{
+			Name: "alloc-budget-deadline", Tags: 24, Topology: TopologyUniformDisc,
+			RadiusM: 10, OfferedLoad: 0.8, QueueCap: 32, ContentionWindow: 4, CapacitanceF: 47e-6,
+			Readers: ReaderSpec{Count: 2, Placement: ReaderLine, SpacingM: 10, Policy: PolicyDeadline, DeadlineRounds: 2},
 		}},
 		// Worker scratch is allocated at pool start and the dispatch
 		// machinery reuses one channel and one WaitGroup.

@@ -156,8 +156,6 @@ func newCongState(spec CongestionSpec, n, queueCap int) *congState {
 // rtoEff is tag i's current backed-off timeout in rounds: the Jacobson
 // RTO doubled per consecutive timeout, capped at the configured
 // maximum.
-//
-//fdlint:noalloc
 func (c *congState) rtoEff(i int) float64 {
 	d := c.rto[i] * float64(int64(1)<<c.backoff[i])
 	if d > c.rtoMax {
@@ -171,9 +169,6 @@ func (c *congState) rtoEff(i int) float64 {
 // from the tag's existing seeded protocol stream (the one each served
 // frame's full-duplex seed draw uses), so delays desynchronise
 // deterministically.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (c *congState) backoffDelay(t *tagState, i int) float64 {
 	d := c.rtoEff(i)
 	if c.jitter > 0 {
@@ -185,9 +180,6 @@ func (c *congState) backoffDelay(t *tagState, i int) float64 {
 // park moves tag i's dequeued in-flight frame onto the retransmission
 // queue (or drops it when the queue is full). The caller has already
 // taken the frame off the transmit queue.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (c *congState) park(t *tagState, i, round int) {
 	if c.retxQ[i] >= c.retxCap {
 		t.stats[i].FramesDropped++
@@ -202,8 +194,6 @@ func (c *congState) park(t *tagState, i, round int) {
 
 // lossEvent applies a multiplicative decrease and opens a new cubic
 // epoch — shared by RTO expiry and MAC-attempt exhaustion.
-//
-//fdlint:noalloc
 func (c *congState) lossEvent(t *tagState, i, round int) {
 	t.stats[i].Timeouts++
 	c.inServ[i] = false
@@ -222,9 +212,6 @@ func (c *congState) lossEvent(t *tagState, i, round int) {
 // RTT sample updates SRTT/RTTVAR and the RTO (samples from
 // retransmitted frames are ambiguous and skipped), the backoff
 // exponent resets, and the window grows along the cubic curve.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (c *congState) onDelivery(i, round int) {
 	if !c.isRetx[i] {
 		rtt := float64(round-int(c.servStart[i])) + 1
@@ -280,9 +267,6 @@ func (c *congState) onDelivery(i, round int) {
 // this round. Runs after arrivals and before the slot draws; each
 // tag's row is independent, so the result is identical however the
 // ranges are sharded.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) congShard(w *netWorker, lo, hi int) {
 	c := e.cong
 	t := &e.tags
@@ -402,8 +386,6 @@ func newSchedState(spec ReaderSpec, n int) *schedState {
 
 // metric is tag i's grant priority this round (higher first; ties go
 // to the lower tag index).
-//
-//fdlint:noalloc
 func (s *schedState) metric(i, round int, t *tagState) float64 {
 	wait := float64(round - int(s.backlogSince[i]))
 	if s.policy == PolicyPropFair {
@@ -420,8 +402,6 @@ func (s *schedState) metric(i, round int, t *tagState) float64 {
 // per tag per round — the new head starts aging immediately). Frames
 // owned by the congestion controller's in-flight service are exempt;
 // the RTO machinery owns their fate.
-//
-//fdlint:noalloc
 func (e *engine) dropDeadlines(round int) {
 	s := e.sched
 	t := &e.tags
@@ -453,9 +433,6 @@ func (e *engine) dropDeadlines(round int) {
 // exchanges sum into the worker's serve row for the cell, which
 // reduceWindows folds in like the ALOHA phase's. Part of the round loop
 // guarded by TestRoundLoopAllocFree.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) runPolicyCell(w *netWorker, ci int) {
 	cw := e.sc.ContentionWindow
 	r := int(e.activeCells[ci])

@@ -153,8 +153,6 @@ func newFaultState(spec FaultSpec, tags, readers int) *faultState {
 // its draws unconditionally, so the stream position never depends on
 // prior fault state. Part of the round loop guarded by
 // TestRoundLoopAllocFree.
-//
-//fdlint:noalloc
 func (f *faultState) step(e *engine, round int, src *simrand.Source) {
 	r1 := round + 1 // 1-based, matching FaultEvent.Round
 	sp := &f.spec
@@ -268,8 +266,6 @@ func (f *faultState) step(e *engine, round int, src *simrand.Source) {
 // mask returns the association exclusion mask, or nil when every
 // reader is down (association falls back to ignoring outages — the
 // cells stay closed regardless, so the pointer is cosmetic).
-//
-//fdlint:noalloc
 func (f *faultState) mask() []bool {
 	if !f.anyUp {
 		return nil

@@ -73,8 +73,6 @@ func (w *waypointWalk) draw() Position {
 // Waypoints lie inside the deployment disc, so positions that start
 // inside it never leave (and grid corners that start outside converge
 // into it).
-//
-//fdlint:noalloc
 func (w *waypointWalk) move(pos []Position, lo, hi int, arrived []uint64) {
 	for i := lo; i < hi; i++ {
 		if i&63 == 0 {
@@ -97,8 +95,6 @@ func (w *waypointWalk) move(pos []Position, lo, hi int, arrived []uint64) {
 // index order: the only draws of an epoch's step, and whether a tag
 // redraws is itself a deterministic function of the seeded history, so
 // the walk stays reproducible.
-//
-//fdlint:noalloc
 func (w *waypointWalk) redraw(arrived []uint64) {
 	for k, word := range arrived {
 		for word != 0 {

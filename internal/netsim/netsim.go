@@ -454,17 +454,22 @@ func run(ctx context.Context, sc Scenario, seed uint64, workers int, obs roundOb
 	// One random tree, split in fixed order; every source below is
 	// always split even when unused (a static run still splits the
 	// mobility source) so the per-tag streams never depend on which
-	// features are enabled beyond the scenario itself.
+	// features are enabled beyond the scenario itself. The streams
+	// below are serial: set-up hands placeSrc and mobilitySrc each to a
+	// single task, and the round loop draws the others only on this
+	// goroutine between parallel phases. A draw inside a shard body
+	// would race and shift every later draw, which the race job and
+	// TestGoldenDigests catch.
 	root := simrand.New(seed)
-	placeSrc := root.Split()    //fdlint:serial
-	trafficSrc := root.Split()  //fdlint:serial
-	slotSrc := root.Split()     //fdlint:serial
-	mobilitySrc := root.Split() //fdlint:serial
+	placeSrc := root.Split()
+	trafficSrc := root.Split()
+	slotSrc := root.Split()
+	mobilitySrc := root.Split()
 	// The fault stream is hashed off the run seed (the fadeSeed
 	// pattern), not split from the tree: enabling faults must not shift
 	// any stream the fault-free engine draws. It stays serial — every
 	// transition happens between rounds on this goroutine.
-	faultSrc := simrand.New(faultSeed(seed)) //fdlint:serial
+	faultSrc := simrand.New(faultSeed(seed))
 
 	nw := ResolveWorkers(workers)
 	acc, _ := obs.(*PhaseTimes)
@@ -627,8 +632,6 @@ func newEngine(sc Scenario, seed uint64, workers int, root, placeSrc, mobilitySr
 // TDM hands the carrier on; fault transitions follow (re-association
 // around outages, churn flushes, the per-cell interference view); then
 // the list of cells the round opens is rebuilt.
-//
-//fdlint:noalloc
 func (e *engine) openRound(faultSrc *simrand.Source) {
 	round, epochLen := e.curRound, e.sc.Mobility.EpochRounds
 	if round%epochLen == 0 {
@@ -665,8 +668,6 @@ func (e *engine) openRound(faultSrc *simrand.Source) {
 // offered — it can neither queue nor deliver them, and counting them
 // would deflate DeliveryRate with traffic that never existed for the
 // MAC.
-//
-//fdlint:noalloc
 func (e *engine) arrive(trafficSrc *simrand.Source) {
 	sc := &e.sc
 	if sc.OfferedLoad <= 0 {
@@ -710,8 +711,6 @@ func (e *engine) arrive(trafficSrc *simrand.Source) {
 // bookkeeping rides along: a cell whose occupancy first reaches
 // satOnsetFrac marks its saturation onset, and the first later round
 // back at or below satRecoveryFrac marks recovery.
-//
-//fdlint:noalloc
 func (e *engine) reduceWindows(res *NetResult) int64 {
 	var roundBytes int64
 	for ci, r := range e.activeCells {
@@ -750,8 +749,6 @@ func (e *engine) reduceWindows(res *NetResult) int64 {
 // settle advances the clock by the round's byte-time and settles every
 // tag's energy budget over it in one step (parallel over tag shards;
 // see settleShard). It reports whether some live tag still holds work.
-//
-//fdlint:noalloc
 func (e *engine) settle(res *NetResult, roundBytes int64) bool {
 	res.ElapsedBytes += roundBytes
 	e.settleDt = float64(roundBytes) * e.secondsPerByte
@@ -766,8 +763,6 @@ func (e *engine) settle(res *NetResult, roundBytes int64) bool {
 // live tags, and rebuilds e.backlog by current association. The sums
 // are integers, so order does not matter. The stream observer takes it
 // every round; the drain folds the same sums from its shards.
-//
-//fdlint:noalloc
 func (e *engine) census() (offered, delivered, dropped int64, alive int) {
 	t := &e.tags
 	clear(e.backlog)
@@ -855,8 +850,6 @@ const (
 // granted eligibility by this round's congestion pass. With every
 // optional layer disabled this reduces exactly to the alive && queued
 // check the pre-congestion engine made.
-//
-//fdlint:noalloc
 func (e *engine) contends(i int32) bool {
 	t := &e.tags
 	if !t.alive[i] || t.queue[i] == 0 {
@@ -882,8 +875,6 @@ func (e *engine) contends(i int32) bool {
 // parallel pass over tag ranges (contendShard); the serial walk over
 // each cell's list reads one bit per tag. Part of the round loop
 // guarded by TestRoundLoopAllocFree.
-//
-//fdlint:noalloc
 func (e *engine) drawSlots(slotSrc *simrand.Source) {
 	e.pool.dispatch(phaseContend)
 	cw := e.sc.ContentionWindow
@@ -931,9 +922,6 @@ func (e *engine) drawSlots(slotSrc *simrand.Source) {
 // contendShard is the parallel body of the contender pass for tags
 // [lo, hi), which start on a word boundary: bit i of tagBits is set
 // when tag i contends this round.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) contendShard(lo, hi int) {
 	for i0 := lo; i0 < hi; i0 += 64 {
 		var word uint64
@@ -948,8 +936,6 @@ func (e *engine) contendShard(lo, hi int) {
 
 // cellTags returns reader r's association list (tag indices in tag
 // order).
-//
-//fdlint:noalloc
 func (e *engine) cellTags(r int) []int32 {
 	return e.tagsByReader[e.readerOff[r]:e.readerOff[r+1]]
 }
@@ -997,9 +983,6 @@ func (e *engine) deriveLinks() {
 // ranges are sharded. Stats fields are assigned
 // individually — the fresh slices are already zero, so whole-struct
 // literals would only re-clear memory the allocator cleared.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) initShard(w *netWorker, lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
@@ -1040,9 +1023,6 @@ func (e *engine) initShard(w *netWorker, lo, hi int) {
 // staging lets the Hypot, Log and Exp passes run through the vecmath
 // kernels four lanes at a time, and the feedback BERs' Erfc run grouped
 // by branch (feedback.ManchesterBERs).
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
@@ -1154,9 +1134,6 @@ func (e *engine) deriveShard(w *netWorker, lo, hi int) {
 // settleShard is the parallel body of the energy settlement for tags
 // [lo, hi). Each tag settles independently; the only cross-tag output
 // is the anyQueued flag, which is a monotonic OR (order-free).
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) settleShard(lo, hi int) {
 	sc := &e.sc
 	t := &e.tags
@@ -1212,9 +1189,6 @@ func (e *engine) settleShard(lo, hi int) {
 // mean rate multiplier, controller state, outage, lifetime), plus the
 // integer sums drain folds: census's frame totals and per-reader
 // backlog, and the adaptation counters, in w's own row.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) drainShard(w *netWorker, lo, hi int) {
 	t := &e.tags
 	sim := e.settleNow

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/simrand"
@@ -213,6 +214,11 @@ func TestPresets(t *testing.T) {
 	names := PresetNames()
 	if len(names) < 3 {
 		t.Fatalf("want at least 3 presets, have %v", names)
+	}
+	// The names come from a map; a listing in map order would differ
+	// between runs (fdnet -presets prints it).
+	if !slices.IsSorted(names) {
+		t.Fatalf("PresetNames not sorted: %v", names)
 	}
 	for _, name := range names {
 		sc, err := Preset(name)

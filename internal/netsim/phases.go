@@ -138,8 +138,6 @@ func (p *PhaseTimes) begin(workers int, ph phaseKind) {
 // enter charges the time since the last switch to the current phase,
 // makes ph current and counts the entry. It returns the phase it left,
 // for resume.
-//
-//fdlint:noalloc
 func (p *PhaseTimes) enter(ph phaseKind) phaseKind {
 	if p == nil {
 		return ph
@@ -150,8 +148,6 @@ func (p *PhaseTimes) enter(ph phaseKind) phaseKind {
 }
 
 // resume switches back to ph without counting an entry.
-//
-//fdlint:noalloc
 func (p *PhaseTimes) resume(ph phaseKind) phaseKind {
 	if p == nil {
 		return ph
@@ -172,8 +168,6 @@ func (p *PhaseTimes) end() {
 
 // now reads the clock for a worker's busy time (0 without an
 // accumulator).
-//
-//fdlint:noalloc
 func (p *PhaseTimes) now() int64 {
 	if p == nil {
 		return 0
@@ -185,7 +179,6 @@ func (p *PhaseTimes) now() int64 {
 // counts the rounds the table covers.
 func (p *PhaseTimes) init(*engine) {}
 
-//fdlint:noalloc
 func (p *PhaseTimes) observe(*engine, *NetResult, int) error {
 	p.rounds++
 	return nil

@@ -140,9 +140,8 @@ type pool struct {
 // from the scenario; newEngine primes the lanes' protocol scratch after
 // set-up, so first use never allocates — an allocation on first use
 // would land on whichever worker happened to claim the first frame,
-// making allocation counts scheduling-dependent.
-//
-//fdlint:workerpool
+// making allocation counts scheduling-dependent. It is the only place
+// the engine starts goroutines.
 func (p *pool) start(e *engine, workers int) {
 	p.e = e
 	p.workers = make([]*netWorker, workers)
@@ -231,9 +230,6 @@ func (p *pool) dispatch(ph phaseKind) {
 
 // runPhase claims shards until the phase is exhausted. Executes on
 // pool workers; the shared shard counter is the only synchronisation.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (p *pool) runPhase(w *netWorker, ph phaseKind) {
 	e := p.e
 	n := p.shardCount(ph)

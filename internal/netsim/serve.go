@@ -98,9 +98,6 @@ func (ls *laneSet) init(e *engine) {
 // nothing to stage. Otherwise the frame takes a free lane, after the
 // lanes step until one frees, and may still be in flight when serve
 // returns; flushLanes finishes every frame before the shard ends.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) serve(w *netWorker, ci int, i int32) {
 	if e.analytic {
 		mr := e.analyticFrame(i)
@@ -128,9 +125,6 @@ func (e *engine) serve(w *netWorker, ci int, i int32) {
 }
 
 // flushLanes steps w's lanes until every frame in flight is finished.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) flushLanes(w *netWorker) {
 	for w.lanes.nbusy > 0 {
 		e.stepLanes(w)
@@ -140,9 +134,6 @@ func (e *engine) flushLanes(w *netWorker) {
 // bindLane starts tag i's frame in ln: it loads the tag's adapter
 // state, draws the full-duplex seed from the tag's protocol stream and
 // opens the exchange.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) bindLane(w *netWorker, ln *lane, ci int, i int32) {
 	t := &e.tags
 	ln.i, ln.ci = i, int16(ci)
@@ -168,9 +159,6 @@ func (e *engine) bindLane(w *netWorker, ln *lane, ci int, i int32) {
 
 // stepLanes answers one chunk for every busy lane, stage by stage, and
 // finishes the frames that end. Only runs under rate adaptation step.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) stepLanes(w *netWorker) {
 	ls := &w.lanes
 	f := e.fade
@@ -219,9 +207,6 @@ func (e *engine) stepLanes(w *netWorker) {
 
 // staticChunk draws whether tag i's chunk is lost, at its geometric
 // ChunkLossProb composed with its cell's interference burst.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) staticChunk(i int32) bool {
 	return e.tags.loss[i].Bool(e.burst(i, e.tags.stats[i].ChunkLossProb))
 }
@@ -231,9 +216,6 @@ func (e *engine) staticChunk(i int32) bool {
 // chunk in the tag's adaptation counters and feeds the adapter the
 // chunk's feedback bit, which flips with the tag's feedback BER under
 // fd.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) adaptedChunk(ln *lane, i int32, snr float64, ri int, p float64) bool {
 	t, f := &e.tags, e.fade
 	ts := &t.stats[i]
@@ -277,9 +259,6 @@ func (e *engine) burst(i int32, p float64) float64 {
 
 // advanceFade steps tag i's Gauss-Markov fading n chunk-times (the
 // rateadapt.RunTrace recursion) and returns the new coefficient.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) advanceFade(i int32, n int) complex128 {
 	f := e.fade
 	h := f.h[i]
@@ -309,9 +288,6 @@ func (e *engine) laneNeed(w *netWorker, ln *lane, nd mac.Need) {
 // 1x; the adapter then gets the end-of-frame verdict the frame-probing
 // policies learn from (clean only when delivered with no chunk lost)
 // and its state goes back to the tag's row.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) endLane(w *netWorker, ln *lane, i int32) {
 	var extra int64
 	if f := e.fade; f != nil {
@@ -339,9 +315,6 @@ func (e *engine) endLane(w *netWorker, ln *lane, i int32) {
 // sa. What it writes is tag i's own state plus integer sums in sa, so
 // a cell's winners may finish in any order, on any worker, with the
 // same result.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) finishFrame(sa *serveAcc, i int32, mr *mac.Result, extra int64) {
 	t := &e.tags
 	elapsed, air := mr.ElapsedBytes+extra, mr.AirtimeBytes+extra
@@ -410,9 +383,6 @@ func applyKernel(x []float64, kernel func(dst, x []float64) int, scalar func(flo
 // lanes in tag order and finish in whatever order their frames end.
 // Part of the round loop guarded by TestRoundLoopAllocFree, sharded
 // rows included.
-//
-//fdlint:parallel
-//fdlint:noalloc
 func (e *engine) serveShard(w *netWorker, lo, hi int) {
 	t := &e.tags
 	nw := e.slotWords

@@ -40,9 +40,8 @@ const (
 	numSetupTasks
 )
 
-// setupTask runs set-up task k.
-//
-//fdlint:parallel
+// setupTask runs set-up task k. The tasks run in parallel, and each
+// writes only the engine fields its own case names.
 func (e *engine) setupTask(k int) {
 	sc := &e.sc
 	t := &e.tags
@@ -50,13 +49,13 @@ func (e *engine) setupTask(k int) {
 	src := e.setupSrc[k]
 	switch k {
 	case taskStats:
-		t.stats = make([]TagStats, n) //fdlint:shard-ok only taskStats writes this column
+		t.stats = make([]TagStats, n)
 	case taskWalk:
 		if sc.Mobility.enabled() {
-			e.walk = newWaypointWalk(n, sc.RadiusM, sc.Mobility.StepM, src) //fdlint:shard-ok only taskWalk writes the walk
+			e.walk = newWaypointWalk(n, sc.RadiusM, sc.Mobility.StepM, src)
 		}
 	case taskPlace:
-		t.pos = make([]Position, n) //fdlint:shard-ok only taskPlace writes this column
+		t.pos = make([]Position, n)
 		drawPlacement(t.pos, sc.Topology, sc.RadiusM, sc.Clusters, sc.ClusterSpreadM, e.readers, src)
 	case taskFade:
 		if sc.RateAdapt.enabled() {
@@ -64,22 +63,22 @@ func (e *engine) setupTask(k int) {
 			// from the tree: enabling adaptation must not shift the
 			// streams the static engine draws. The loss draws themselves
 			// ride each tag's existing loss stream.
-			e.fade = newFadeState(sc.RateAdapt, n, e.seed) //fdlint:shard-ok only taskFade writes the fade state
+			e.fade = newFadeState(sc.RateAdapt, n, e.seed)
 		}
 	case taskColumns:
 		e.allocColumns()
 	case taskRoot:
-		t.loss = parkRoot(n, src) //fdlint:shard-ok only taskRoot writes this column
+		t.loss = parkRoot(n, src)
 	case taskFeatures:
 		R := len(e.readers)
 		if sc.Congestion.enabled() {
-			e.cong = newCongState(sc.Congestion, n, sc.QueueCap) //fdlint:shard-ok only taskFeatures writes the congestion state
+			e.cong = newCongState(sc.Congestion, n, sc.QueueCap)
 		}
 		if sc.Readers.Policy != PolicyAloha {
-			e.sched = newSchedState(sc.Readers, n) //fdlint:shard-ok only taskFeatures writes the policy state
+			e.sched = newSchedState(sc.Readers, n)
 		}
 		if sc.Faults.enabled() {
-			e.flt = newFaultState(sc.Faults, n, R) //fdlint:shard-ok only taskFeatures writes the fault state
+			e.flt = newFaultState(sc.Faults, n, R)
 		}
 	}
 }

@@ -174,8 +174,6 @@ func (st *streamer) init(e *engine) {
 // TestRoundLoopAllocFree table budgets (its streamed row), so it must
 // stay allocation-free: the snapshot struct and its slices are sized
 // once in init and reused for every round.
-//
-//fdlint:noalloc
 func (st *streamer) observe(e *engine, res *NetResult, round int) error {
 	s := &st.snap
 	t := &e.tags

@@ -132,8 +132,6 @@ func drawDiscPolar(out []Position, r float64, src *simrand.Source) {
 
 // polarToXY converts drawDiscPolar's pairs to Cartesian positions in
 // place.
-//
-//fdlint:noalloc
 func polarToXY(p []Position) {
 	for i, v := range p {
 		// One argument reduction for both; bit for bit Cos and Sin

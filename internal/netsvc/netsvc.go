@@ -161,7 +161,8 @@ func (s *Server) Runs() []RunStatus {
 	defer s.mu.Unlock()
 	// Harvest and sort the map keys before building the listing: run
 	// IDs are unique, so the sorted keys induce a deterministic order
-	// no matter how the map iterates (fdlint: orderedrange).
+	// no matter how the map iterates (TestRunsListingSortedAndStable
+	// holds this).
 	ids := make([]uint64, 0, len(s.runs))
 	for id := range s.runs {
 		ids = append(ids, id)

@@ -6,11 +6,11 @@ import (
 )
 
 // Runs builds the GET /runs listing by harvesting and sorting the
-// registry map's keys (the fdlint orderedrange contract): the listing
-// must come back strictly ascending by run ID and byte-identical
-// across calls, however the IDs were inserted. Ranging the map into
-// the output would make both assertions flaky — Go randomizes map
-// iteration per range statement.
+// registry map's keys: the listing must come back strictly ascending
+// by run ID and byte-identical across calls, however the IDs were
+// inserted. Ranging the map into the output would make both
+// assertions flaky — Go randomizes map iteration per range statement.
+// This test is the only gate on that order.
 func TestRunsListingSortedAndStable(t *testing.T) {
 	s := New(Config{})
 	// Insert in a scrambled order: a multiplicative stride mod 29 visits
